@@ -46,8 +46,10 @@ OPEN_SHARE = 0.6
 CONNECTIONS = 2
 #: Real edges drawn per run for churn writes.
 CHURN_EDGES = 2000
-#: Seconds of closed-loop writes timed on ``read_hot`` before each cycle.
-PROBE_SECONDS = 0.4
+#: Seconds and rate (ops/s) of the open-loop write probe that runs on
+#: ``read_hot`` before each cycle.
+PROBE_SECONDS = 1.5
+PROBE_RATE = 200.0
 #: Rounds of (open-loop segment, closed-loop segment) in one run.
 CYCLES = 4
 #: Traced cluster runs: write acks timed until the replica applies them,
@@ -208,14 +210,31 @@ def _metrics_ops(dep) -> Dict[str, Dict[str, Any]]:
     return out
 
 
-def _latency_stats(run: Run, name: str, ops) -> None:
-    values = [op.latency * 1000.0 for op in ops if op.ok]
+def _latency_stats(run: Run, name: str, values: List[float]) -> None:
+    """Median (gated) and tails (printed) of latencies in ms."""
     run.metrics[f"{name}_p50_ms"] = percentile(values, 0.50)
     run.samples[f"{name}_p50_ms"] = len(values)
     # Tails are printed, not gated: on two shared cores they are set by
     # host scheduling stalls and by where compactions land (README.md).
     run.extra[f"{name}_p95_ms"] = percentile(values, 0.95)
     run.extra[f"{name}_p99_ms"] = percentile(values, 0.99)
+
+
+def _ms(ops) -> List[float]:
+    return [op.latency * 1000.0 for op in ops if op.ok]
+
+
+def _pair_means(ops) -> List[float]:
+    """Mean latency in ms of each (delete, re-insert) pair that succeeded.
+
+    ``ops`` are one connection's writes in order, so ``ops[2i]`` and
+    ``ops[2i + 1]`` are the delete and the re-insert of one edge.
+    """
+    return [
+        (first.latency + second.latency) * 500.0
+        for first, second in zip(ops[::2], ops[1::2])
+        if first.ok and second.ok
+    ]
 
 
 def _generator_health(run: Run, segments) -> None:
@@ -491,15 +510,19 @@ def run_pass(name: str, seed: int, seconds: float, traced: bool, run_dir: str,
             if not write_share:
                 # read_hot: timed writes between cycles, so its read
                 # segments stay pure cache hits and the write metrics
-                # exist; then every key is read again, untimed.  Both
-                # connections write: a lone writer's latency is either a
-                # delete's or an insert's, and the median of that even
-                # mix sat in the gap between the two.
+                # exist; then every key is read again, untimed.  The
+                # probe is open-loop on one connection, and the metric is
+                # the median pair mean: a delete and an insert cost
+                # different amounts, so the median of single writes
+                # jumped between the two.  Closed-loop writes kept the
+                # server's CPU busy, and their median followed the host's
+                # speed from run to run.
+                schedule = poisson_schedule(
+                    rng, rate=PROBE_RATE, seconds=PROBE_SECONDS, write_share=1.0,
+                    keys=keys, connections=1,
+                )
                 with _gc_paused():
-                    chunk, _ = traffic.closed_loop(
-                        PROBE_SECONDS, rng, [1.0] * CONNECTIONS, keys
-                    )
-                    chunk += traffic.restore()
+                    chunk = traffic.open_loop(schedule) + traffic.restore()
                 probe += chunk
                 run.account(chunk)
                 warm()
@@ -519,9 +542,9 @@ def run_pass(name: str, seed: int, seconds: float, traced: bool, run_dir: str,
             closed_done += done
         open_ops = [op for ops in segments for op in ops]
         reads = [op for op in open_ops if op.kind == "read"]
-        writes = [op for op in open_ops if op.kind == "write"] or probe
-        _latency_stats(run, "read", reads)
-        _latency_stats(run, "write", writes)
+        writes = [op for op in open_ops if op.kind == "write"]
+        _latency_stats(run, "read", _ms(reads))
+        _latency_stats(run, "write", _ms(writes) if writes else _pair_means(probe))
         run.metrics["throughput_ops_s"] = closed_done / (closed_seconds * CYCLES)
         run.samples["throughput_ops_s"] = closed_done
         _generator_health(run, segments)
