@@ -332,7 +332,8 @@ def run_exp8_fig13() -> List[ExperimentTable]:
             for c in components_of_subset(graph, common)
             if len(c) >= 2
         ]
-        comps.sort(key=len, reverse=True)
+        # Ties on size break by members: set order depends on the hash seed.
+        comps.sort(key=lambda c: (-len(c), c))
         rendered = "; ".join("{" + ", ".join(c) + "}" for c in comps)
         table.add_row(f"({edge[0]}, {edge[1]})", score, rendered)
     table.note(
@@ -715,7 +716,6 @@ def run_service_bench(scale: float = 1.0) -> List[ExperimentTable]:
     tiny.shutdown()
 
     cache = snapshot["cache"]
-    batcher = snapshot["batcher"]
     summary = ExperimentTable(
         "Service B", "Correctness, caching and admission control",
         ["quantity", "value"],
@@ -729,8 +729,8 @@ def run_service_bench(scale: float = 1.0) -> List[ExperimentTable]:
     summary.add_row("updates applied", len(update_records))
     summary.add_row("cache hits", cache["hits"])
     summary.add_row("cache hit rate", cache["hit_rate"])
-    summary.add_row("batched (coalesced) requests", batcher["coalesced"])
-    summary.add_row("largest batch", batcher["largest_batch"])
+    summary.add_row("single-flight coalesced requests", cache["coalesced"])
+    summary.add_row("largest single flight", cache["largest_flight"])
     summary.add_row("overload rejections (probe)", len(overloads))
     summary.add_row("client-side errors", len(client_errors))
     summary.note(

@@ -179,7 +179,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             max_pending=args.max_pending,
             queue_timeout=args.queue_timeout,
-            batch_window=args.batch_window,
             cache_size=args.cache_size,
             data_dir=args.data_dir,
             snapshot_interval=args.snapshot_interval,
@@ -617,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--queue-timeout", type=float, default=2.0,
         help="seconds a request may wait for a slot",
-    )
-    p_serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="topk coalescing window in seconds",
     )
     p_serve.add_argument(
         "--cache-size", type=int, default=1024,

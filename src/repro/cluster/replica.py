@@ -1,23 +1,27 @@
-"""A read replica: tailed WAL state + an event-loop serve path.
+"""A read replica: a read-only :class:`QueryEngine` fed by a WAL tailer.
 
-:class:`ReplicaNode` holds one :class:`~repro.core.maintenance.DynamicESDIndex`
-it never mutates on behalf of clients.  State arrives exclusively from
-the writer through a :class:`~repro.cluster.replication.ReplicationTailer`:
-a snapshot (loaded via ``from_state``, skipping the 4-clique build) and
-then the live WAL record stream, applied through the same maintenance
-path the writer used -- so a replica at applied version ``v`` holds the
-bit-identical index the writer held at ``v``, and serves
-snapshot-consistent ``topk``/``score``/``stats`` at exactly that
-version under a local readers-writer lock.
+:class:`ReplicaNode` is a thin shell around one
+:class:`~repro.service.engine.QueryEngine` it never mutates on behalf of
+clients.  State arrives exclusively from the writer through a
+:class:`~repro.cluster.replication.ReplicationTailer`: a snapshot
+(loaded via ``from_state``, skipping the 4-clique build, and swapped in
+with :meth:`QueryEngine.load_index`) and then the live WAL record
+stream, applied through :meth:`QueryEngine.update` -- the writer's own
+mutation path, without a store -- so a replica at applied version ``v``
+holds the bit-identical index the writer held at ``v``, and serves
+``topk``/``score``/``stats`` through the same engine, cache and op table
+(:mod:`repro.service.dispatch`) as ``esd serve``.
 
 Serving runs on the :class:`~repro.cluster.eventloop.EventLoop`
 (``selectors``-based, per-connection buffers, idle timeouts) -- there
-is no thread per connection anywhere in the replica.  Mutating ops are
-answered with the structured ``read_only`` error; reads carrying a
-``min_version`` token newer than the applied version are answered
-``unavailable`` so the router can retry elsewhere (bounded staleness is
-enforced at the router; the token check here makes read-your-writes
-robust even against a stale router view).
+is no thread per connection anywhere in the replica.  What the replica
+adds to the shared op table: mutating ops are answered with the
+structured ``read_only`` error; reads before the first snapshot, or
+carrying a ``min_version`` token newer than the applied version, are
+answered ``unavailable`` so the router can retry elsewhere (bounded
+staleness is enforced at the router; the token check here makes
+read-your-writes robust even against a stale router view); and
+``cluster-info`` reports replication state.
 """
 
 from __future__ import annotations
@@ -27,17 +31,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.maintenance import DynamicESDIndex
-from repro.kernels.shm import shm_metrics
-from repro.metrics import get_metric
+from repro.graph.graph import Graph
 from repro.obs.promtext import http_metrics_response, render_prometheus
-from repro.obs.registry import UnifiedRegistry
 from repro.obs.trace import TRACER
 from repro.persistence.wal import WALRecord
 from repro.service import protocol
-from repro.service.cache import ResultCache
-from repro.service.metrics import MetricsRegistry
+from repro.service.dispatch import Handler, engine_ops, respond
+from repro.service.engine import QueryEngine
 from repro.service.protocol import ProtocolError
-from repro.service.rwlock import RWLock
 from repro.cluster.eventloop import Channel, EventLoop
 from repro.cluster.replication import ReplicationTailer
 
@@ -70,12 +71,13 @@ class ReplicaNode:
 
     def __init__(self, config: ReplicaConfig) -> None:
         self.config = config
-        self._lock = RWLock()
-        self._dyn: Optional[DynamicESDIndex] = None
-        self._applied = -1
+        # Empty and not serving until the first snapshot lands.
+        self.engine = QueryEngine(Graph(), cache_size=config.cache_size)
+        self.metrics = self.engine.metrics
+        #: Whether the engine holds the writer's state (False before the
+        #: first snapshot and after a record the state could not absorb).
+        self._synced = False
         self._writer_version = -1
-        self._cache = ResultCache(config.cache_size)
-        self.metrics = MetricsRegistry()
         self._loop = EventLoop()
         self._loop.overflow_response = protocol.encode(
             protocol.error_response(
@@ -90,18 +92,27 @@ class ReplicaNode:
         self._tailer = ReplicationTailer(
             config.writer_host, config.writer_repl_port,
             name=config.name,
-            get_applied=lambda: self._applied,
+            get_applied=lambda: self.applied_version,
             on_snapshot=self._load_snapshot,
             on_record=self._apply_record,
             on_writer_version=self._note_writer_version,
             reconnect_backoff=config.reconnect_backoff,
         )
-        self.obs = UnifiedRegistry(self.metrics)
+        self.obs = self.engine.obs
         self.obs.add_source("replication", self.replication_status)
         self.obs.add_source("eventloop", self._loop.snapshot)
-        self.obs.add_source("cache", self._cache.stats)
-        self.obs.add_source("graph_version", lambda: self._applied)
-        self.obs.add_source("shm", shm_metrics)
+        self.obs.add_source("graph_version", lambda: self.applied_version)
+        self._ops = engine_ops(self.engine)
+        self._ops["stats"] = lambda message: dict(
+            self.engine.stats(),
+            role="replica",
+            replication=self.replication_status(),
+        )
+        for op in ("topk", "score", "stats"):
+            self._ops[op] = self._gated(self._ops[op])
+        for op in MUTATING_OPS:
+            self._ops[op] = self._read_only
+        self._ops["cluster-info"] = lambda message: self.cluster_info()
         self._segment = None  #: shared CSR segment of the applied snapshot
         self._thread: Optional[threading.Thread] = None
         self._shutdown_lock = threading.Lock()
@@ -116,8 +127,12 @@ class ReplicaNode:
 
     @property
     def applied_version(self) -> int:
-        """The replica's applied ``graph_version`` (``-1`` = no state)."""
-        return self._applied
+        """The replica's applied ``graph_version`` (``-1`` = no state).
+
+        Always the engine's own version, so a read's gate and the
+        version its answer reports can never disagree.
+        """
+        return self.engine.graph_version if self._synced else -1
 
     def serve_forever(self) -> None:
         """Tail the writer and serve on the calling thread."""
@@ -162,10 +177,8 @@ class ReplicaNode:
         ):
             dyn = DynamicESDIndex.from_state(state)
             self._seed_kernel(dyn, state)
-        with self._lock.write_locked():
-            self._dyn = dyn
-            self._applied = dyn.graph_version
-            self._cache.clear()
+        self.engine.load_index(dyn)
+        self._synced = True
         self.metrics.incr("snapshots_loaded")
 
     def _seed_kernel(self, dyn: DynamicESDIndex, state: Dict[str, Any]) -> None:
@@ -219,31 +232,29 @@ class ReplicaNode:
             segment.detach()
 
     def _apply_record(self, record: WALRecord) -> bool:
-        with self._lock.write_locked():
-            if self._dyn is None:
-                return False
-            if record.version <= self._applied:
-                return True  # duplicate delivery is harmless
-            if record.version != self._applied + 1:
+        # Only the tailer thread mutates the engine, so the checks need
+        # no lock; the engine's write lock covers the apply itself.
+        applied = self.applied_version
+        if applied < 0:
+            return False
+        if record.version <= applied:
+            return True  # duplicate delivery is harmless
+        if record.version != applied + 1:
+            self.metrics.incr("replication_gaps")
+            return False
+        with TRACER.span(
+            "cluster.apply", op=record.op, version=record.version
+        ):
+            try:
+                self.engine.update(record.op, record.u, record.v)
+            except (ValueError, KeyError):
+                # A record the state cannot absorb means we diverged
+                # (maintenance validates before mutating, so the index
+                # is still the one at ``applied``): stop serving and
+                # force a snapshot-resync rather than guessing.
                 self.metrics.incr("replication_gaps")
+                self._synced = False
                 return False
-            with TRACER.span(
-                "cluster.apply", op=record.op, version=record.version
-            ):
-                try:
-                    if record.op == "insert":
-                        self._dyn.insert_edge(record.u, record.v)
-                    else:
-                        self._dyn.delete_edge(record.u, record.v)
-                except (ValueError, KeyError):
-                    # A record the state cannot absorb means we diverged:
-                    # force a snapshot-resync rather than guessing.
-                    self.metrics.incr("replication_gaps")
-                    self._dyn = None
-                    self._applied = -1
-                    return False
-            self._applied = self._dyn.graph_version
-            self._cache.purge_stale(self._applied)
         self.metrics.incr("records_applied")
         return True
 
@@ -251,15 +262,12 @@ class ReplicaNode:
         self._writer_version = max(self._writer_version, version)
 
     def replication_status(self) -> Dict[str, Any]:
-        writer_version = max(self._writer_version, self._applied)
+        applied = self.applied_version
+        writer_version = max(self._writer_version, applied)
         return {
-            "applied_version": self._applied,
+            "applied_version": applied,
             "writer_version": writer_version,
-            "lag": (
-                max(0, writer_version - self._applied)
-                if self._applied >= 0
-                else None
-            ),
+            "lag": max(0, writer_version - applied) if applied >= 0 else None,
             "tailer": self._tailer.status(),
         }
 
@@ -267,6 +275,14 @@ class ReplicaNode:
 
     def metrics_text(self) -> str:
         return render_prometheus(self.obs.snapshot())
+
+    def cluster_info(self) -> Dict[str, Any]:
+        return dict(
+            self.replication_status(),
+            role="replica",
+            name=self.config.name,
+            graph_version=self.applied_version,
+        )
 
     def _on_line(self, channel: Channel, line: bytes) -> None:
         if protocol.is_http_get(line):
@@ -276,134 +292,38 @@ class ReplicaNode:
         try:
             message = protocol.decode_line(line)
         except ProtocolError as exc:
-            channel.send_bytes(
-                protocol.encode(protocol.error_response(exc.code, exc.message))
-            )
-            return
-        request_id = message.get("id")
-        op = message["op"]
-        try:
-            with self.metrics.timed(op):
-                response = protocol.ok_response(
-                    self._dispatch(op, message), request_id
-                )
-        except ProtocolError as exc:
-            response = protocol.error_response(exc.code, exc.message, request_id)
-        except (ValueError, TypeError) as exc:
-            response = protocol.error_response(
-                protocol.INVALID_ARGUMENT, str(exc), request_id
-            )
-        except KeyError as exc:
-            detail = exc.args[0] if exc.args else exc
-            response = protocol.error_response(
-                protocol.NOT_FOUND, str(detail), request_id
-            )
-        except Exception as exc:  # never take the loop down
-            self.metrics.incr("internal_errors")
-            response = protocol.error_response(
-                protocol.INTERNAL, f"{type(exc).__name__}: {exc}", request_id
-            )
+            response = protocol.error_response(exc.code, exc.message)
+        else:
+            response = respond(self._ops, message, self.metrics)
         channel.send_bytes(protocol.encode(response))
 
-    def _checked_index(self, message: Dict[str, Any]) -> DynamicESDIndex:
-        """The live index, after enforcing the request's version token."""
-        if self._dyn is None:
-            raise ProtocolError(
-                protocol.UNAVAILABLE,
-                "replica has no state yet (awaiting writer snapshot)",
+    def _gated(self, handler: Handler) -> Handler:
+        """``handler``, answering ``unavailable`` while the replica has
+        no state or is behind the request's ``min_version`` token."""
+
+        def gated(message: Dict[str, Any]) -> Any:
+            applied = self.applied_version
+            if applied < 0:
+                raise ProtocolError(
+                    protocol.UNAVAILABLE,
+                    "replica has no state yet (awaiting writer snapshot)",
+                )
+            min_version = protocol.int_field(
+                message, "min_version", default=0, minimum=0
             )
-        min_version = protocol.int_field(
-            message, "min_version", default=0, minimum=0
+            if applied < min_version:
+                raise ProtocolError(
+                    protocol.UNAVAILABLE,
+                    f"replica at version {applied} is behind the "
+                    f"requested min_version {min_version}",
+                )
+            return handler(message)
+
+        return gated
+
+    def _read_only(self, message: Dict[str, Any]) -> Any:
+        raise ProtocolError(
+            protocol.READ_ONLY,
+            f"op {message['op']!r} mutates state; replicas are read-only -- "
+            "send it to the router or the writer",
         )
-        if self._applied < min_version:
-            raise ProtocolError(
-                protocol.UNAVAILABLE,
-                f"replica at version {self._applied} is behind the "
-                f"requested min_version {min_version}",
-            )
-        return self._dyn
-
-    def _dispatch(self, op: str, message: Dict[str, Any]) -> Any:
-        if op == "ping":
-            return "pong"
-        if op in MUTATING_OPS:
-            raise ProtocolError(
-                protocol.READ_ONLY,
-                f"op {op!r} mutates state; replicas are read-only -- "
-                "send it to the router or the writer",
-            )
-        if op == "cluster-info":
-            return dict(
-                self.replication_status(),
-                role="replica",
-                name=self.config.name,
-                graph_version=self._applied,
-            )
-        if op == "metrics":
-            return self.obs.snapshot()
-        if op == "metrics-text":
-            from repro.service.server import PROMETHEUS_CONTENT_TYPE
-
-            return {"content_type": PROMETHEUS_CONTENT_TYPE,
-                    "text": self.metrics_text()}
-        if op == "topk":
-            k = protocol.int_field(message, "k", default=10)
-            tau = protocol.int_field(message, "tau", default=2)
-            metric = protocol.metric_field(message)
-            scorer = get_metric(metric)
-            with self.metrics.timed(f"topk|metric={metric}"):
-                with self._lock.read_locked():
-                    dyn = self._checked_index(message)
-                    version = dyn.graph_version
-                    hit, payload = self._cache.get((metric, k, tau, version))
-                    if not hit:
-                        payload = {
-                            "items": [
-                                [u, v, score]
-                                for (u, v), score in scorer.topk(
-                                    dyn.graph, k, tau=tau, index=dyn
-                                )
-                            ],
-                            "graph_version": version,
-                            "metric": metric,
-                        }
-                        self._cache.put((metric, k, tau, version), payload)
-                    return dict(payload, cached=hit, batched=1)
-        if op == "score":
-            u = protocol.vertex_field(message, "u")
-            v = protocol.vertex_field(message, "v")
-            tau = protocol.int_field(message, "tau", default=2)
-            metric = protocol.metric_field(message)
-            scorer = get_metric(metric)
-            with self.metrics.timed(f"score|metric={metric}"):
-                with self._lock.read_locked():
-                    dyn = self._checked_index(message)
-                    return {
-                        "edge": [u, v],
-                        "tau": tau,
-                        "metric": metric,
-                        "score": scorer.score(
-                            dyn.graph, (u, v), tau=tau, index=dyn
-                        ),
-                        "in_graph": dyn.graph.has_edge(u, v),
-                        "graph_version": dyn.graph_version,
-                    }
-        if op == "stats":
-            with self._lock.read_locked():
-                dyn = self._checked_index(message)
-                counters = dyn.mutation_counters
-                return {
-                    "n": dyn.graph.n,
-                    "m": dyn.graph.m,
-                    "graph_version": dyn.graph_version,
-                    "mutations": {
-                        "insertions": counters.insertions,
-                        "deletions": counters.deletions,
-                        "total": counters.total,
-                    },
-                    "index": dyn.index.stats(),
-                    "watches": 0,
-                    "role": "replica",
-                    "replication": self.replication_status(),
-                }
-        raise ProtocolError(protocol.UNKNOWN_OP, f"unknown op: {op!r}")

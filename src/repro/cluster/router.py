@@ -265,7 +265,7 @@ class Router:
                     protocol.ok_response(self.obs.snapshot(), request_id),
                 )
             elif op == "metrics-text":
-                from repro.service.server import PROMETHEUS_CONTENT_TYPE
+                from repro.service.dispatch import PROMETHEUS_CONTENT_TYPE
 
                 self._reply(
                     channel,

@@ -51,6 +51,7 @@ class WriterNode(ESDServer):
             heartbeat_interval=self.cluster_config.heartbeat_interval,
         )
         self.engine.obs.add_source("replication", self.publisher.status)
+        self._ops["cluster-info"] = lambda message: self.cluster_info()
 
     @property
     def repl_address(self):
@@ -76,8 +77,3 @@ class WriterNode(ESDServer):
             "graph_version": self.engine.graph_version,
             "replication": self.publisher.status(),
         }
-
-    def _dispatch(self, message: Dict[str, Any]) -> Any:
-        if message["op"] == "cluster-info":
-            return self.cluster_info()
-        return super()._dispatch(message)

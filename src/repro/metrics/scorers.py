@@ -8,7 +8,7 @@ structural diversity (Huang/Huang/Xu -- the k-truss peel in
 the local variant in :mod:`repro.analytics.betweenness`, with global
 Brandes kept as ``betweenness_global``), and the common-neighbor count
 that upper-bounds the paper's score.  This module serves them all
-through the same engine/cache/batcher: each metric is a
+through the same engine and cache: each metric is a
 :class:`MetricScorer` registered by name, and every serving-layer
 ``topk``/``score`` call carries a ``metric`` field that selects one.
 
@@ -45,7 +45,7 @@ threshold (``truss_rebuilds``) -- the same patch-vs-rebuild policy as
 
 Adding a metric is ~50 lines: subclass :class:`MetricScorer`, implement
 ``score``/``topk``, call :func:`register_metric` -- the protocol field,
-cache keys, batcher keys, CLI choices, per-metric latency labels and
+cache keys, CLI choices, per-metric latency labels and
 Prometheus export all follow from the registry.
 """
 

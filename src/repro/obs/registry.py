@@ -2,7 +2,7 @@
 
 Before this module, operational state was scattered: the service's
 ``MetricsRegistry`` held endpoint latencies and counters, the cache,
-batcher, lock and persistence store each had their own ``stats()``, and
+lock and persistence store each had their own ``stats()``, and
 the core layer's counters (edges rescored, heap stale-skips, bound-rule
 evaluations) were not surfaced at all.  :class:`UnifiedRegistry` folds
 them into the single JSON document returned by the ``metrics`` op and

@@ -5,7 +5,7 @@ one timed operation with a name, a few key/value attributes, a unique
 id, and a parent id linking it into a per-thread tree.  The root span of
 a tree carries a fresh ``trace_id`` that all descendants share, so a
 single request can be followed through the layers it touches (engine ->
-batcher -> cache -> index -> WAL).
+cache -> index -> WAL).
 
 Design constraints, in priority order:
 

@@ -4,11 +4,12 @@ The modules compose bottom-up:
 
 =================  =======================================================
 ``rwlock``         write-preferring readers-writer lock (snapshot reads)
-``cache``          LRU result cache keyed by ``(k, τ, graph_version)``
-``batcher``        coalesces concurrent topk queries into one index pass
+``cache``          LRU result cache keyed by ``(metric, k, τ, graph_version)``
+                   with a single-flight miss path
 ``metrics``        per-endpoint counters and latency quantiles
 ``engine``         :class:`QueryEngine` -- the transport-independent core
 ``protocol``       JSON line framing, envelopes, error codes
+``dispatch``       the op table and error mapping every node serves with
 ``server``         :class:`ESDServer` -- threaded TCP + admission control
 ``client``         :class:`ServiceClient` -- blocking line-protocol client
 ``verify``         offline audit of recorded responses vs fresh recompute
@@ -24,7 +25,6 @@ Start a server programmatically::
 or from the shell with ``esd serve``; see ``docs/SERVICE.md``.
 """
 
-from repro.service.batcher import TopKBatcher
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient, ServiceError, wait_until_ready
 from repro.service.engine import QueryEngine
@@ -40,7 +40,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "wait_until_ready",
-    "TopKBatcher",
     "ResultCache",
     "MetricsRegistry",
     "percentile",

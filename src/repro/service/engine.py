@@ -13,10 +13,9 @@ composes the serving-layer pieces around one
   ``(metric, k, τ, graph_version)``; the index's mutation hook purges
   stale versions eagerly and the version component (kept last, which is
   what the purge keys on) makes stale hits impossible (see
-  :mod:`repro.service.cache`);
-* **batching** -- concurrent ``topk`` calls coalesce through a
-  :class:`~repro.service.batcher.TopKBatcher` into one read-locked index
-  pass per distinct ``(metric, k, τ)``;
+  :mod:`repro.service.cache`).  A hit is one lock-free lookup; a miss
+  reads the version and computes under the read lock, single-flight, so
+  concurrent misses on one key cost one index pass;
 * **metric family** -- ``topk``/``score`` take a ``metric`` selector
   resolved through the :mod:`repro.metrics` scorer registry; ``esd``
   (the default) answers straight from the maintained index, the other
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.maintenance import DynamicESDIndex
 from repro.core.monitor import TopKChange, TopKMonitor
@@ -60,7 +59,6 @@ from repro.obs.registry import UnifiedRegistry
 from repro.obs.sampler import InvariantSampler
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import TRACER
-from repro.service.batcher import TopKBatcher
 from repro.service.cache import ResultCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.rwlock import RWLock
@@ -118,7 +116,6 @@ class QueryEngine:
         store=None,
         snapshot_interval: int = 1000,
         cache_size: int = 1024,
-        batch_window: float = 0.002,
         slow_query_threshold: float = 0.25,
         slow_log_capacity: int = 128,
         invariant_check_interval: int = 0,
@@ -146,7 +143,6 @@ class QueryEngine:
         self._since_snapshot = 0
         self._lock = RWLock()
         self._cache = ResultCache(cache_size)
-        self._batcher = TopKBatcher(self._run_batch, window=batch_window)
         self.slow_log = SlowQueryLog(
             threshold=slow_query_threshold, capacity=slow_log_capacity
         )
@@ -224,6 +220,28 @@ class QueryEngine:
         """
         return self._lock.read_locked()
 
+    def load_index(self, dynamic_index: DynamicESDIndex) -> None:
+        """Replace the whole index with ``dynamic_index`` (a replica's
+        snapshot load).
+
+        The swap runs under the write lock, so a read sees the old index
+        or the new one, never both.  The cache is cleared: version
+        numbers of two unrelated indexes may coincide.  Metrics, counters
+        and the cache's own statistics carry over.  Watches and the
+        invariant sampler are bound to one index, so an engine with
+        either refuses the swap.
+        """
+        if self._watches or self.sampler is not None:
+            raise RuntimeError(
+                "cannot replace the index of an engine with watches or "
+                "an invariant sampler"
+            )
+        dynamic_index.subscribe(self._on_mutation)
+        dynamic_index.subscribe_batch(self._on_batch)
+        with self._lock.write_locked():
+            self._dyn = dynamic_index
+            self._cache.clear()
+
     def close(self) -> None:
         """Flush durability state and release file handles.
 
@@ -251,7 +269,6 @@ class QueryEngine:
         """Fold every component's stats into one snapshot provider."""
         registry = UnifiedRegistry(self.metrics)
         registry.add_source("cache", self._cache.stats)
-        registry.add_source("batcher", self._batcher.stats)
         registry.add_source("lock", self._lock.snapshot)
         registry.add_source("graph_version", lambda: self._dyn.graph_version)
         registry.add_source("core", self._core_counters)
@@ -325,50 +342,29 @@ class QueryEngine:
                     self.metrics.incr("metric_warm_errors")
             self.metrics.incr("metric_warm_passes")
 
-    def _run_batch(
-        self, keys: List[Hashable]
-    ) -> Dict[Hashable, Dict[str, Any]]:
-        """Answer all distinct ``(metric, k, τ)`` keys in one read-locked pass."""
-        results: Dict[Hashable, Dict[str, Any]] = {}
-        with TRACER.span("engine.batch", keys=len(keys)) as span:
-            hits = 0
-            with self._lock.read_locked():
-                version = self._dyn.graph_version
-                for key in keys:
-                    metric, k, tau = key
-                    hit, payload = self._cache.get((metric, k, tau, version))
-                    if hit:
-                        hits += 1
-                    else:
-                        scorer = get_metric(metric)
-                        payload = {
-                            "items": _items(
-                                scorer.topk(
-                                    self._dyn.graph, k,
-                                    tau=tau, index=self._dyn,
-                                )
-                            ),
-                            "graph_version": version,
-                            "metric": metric,
-                        }
-                        self._cache.put((metric, k, tau, version), payload)
-                    results[key] = payload
-            span.set(cache_hits=hits, graph_version=version)
-        return results
+    def _topk_payload(
+        self, metric: str, k: int, tau: int, version: int
+    ) -> Dict[str, Any]:
+        """Compute one top-k answer (caller holds the read lock)."""
+        items = get_metric(metric).topk(
+            self._dyn.graph, k, tau=tau, index=self._dyn
+        )
+        return {"items": _items(items), "graph_version": version,
+                "metric": metric}
 
     # -- read endpoints -------------------------------------------------------
 
     def topk(
         self, k: int = 10, tau: int = 2, metric: str = DEFAULT_METRIC
     ) -> Dict[str, Any]:
-        """Top-k query; served from cache or a coalesced index pass.
+        """Top-k query; served from cache or one single-flight index pass.
 
         ``metric`` selects the scorer (see :mod:`repro.metrics`):
         ``esd`` (default, the paper's index-backed structural
         diversity), ``truss``, ``betweenness``, ``common_neighbors``...
-        Cache keys are ``(metric, k, τ, version)`` and batch keys
-        ``(metric, k, τ)``, so two metrics never share a cache entry or
-        coalesce into one batched result.
+        Cache keys are ``(metric, k, τ, version)``, so two metrics never
+        share a cache entry or one computation.  ``batched`` in the
+        answer is the number of requests that computation served.
         """
         _validate_k_tau(k, tau)
         _validate_metric(metric)
@@ -387,11 +383,14 @@ class QueryEngine:
                     span.set(cache="hit", graph_version=version)
                     return dict(payload, cached=True, batched=1)
                 span.set(cache="miss")
-                payload, batch_requests = self._batcher.submit(
-                    (metric, k, tau)
-                )
-                span.set(batched=batch_requests)
-                return dict(payload, cached=False, batched=batch_requests)
+                with self._lock.read_locked():
+                    version = self._dyn.graph_version
+                    payload, batched = self._cache.get_or_compute(
+                        (metric, k, tau, version),
+                        lambda: self._topk_payload(metric, k, tau, version),
+                    )
+                span.set(batched=batched, graph_version=version)
+                return dict(payload, cached=False, batched=batched)
 
     def score(
         self, u, v, tau: int = 2, metric: str = DEFAULT_METRIC
@@ -569,7 +568,7 @@ class QueryEngine:
         """The ``/metrics`` payload, from the unified registry.
 
         One document folding endpoint latencies and counters with every
-        component's stats (cache, batcher, lock, persistence), the
+        component's stats (cache, lock, persistence), the
         core-layer counters, the slow-query ring, the invariant-sampler
         status and the tracer state -- see
         :class:`repro.obs.registry.UnifiedRegistry`.

@@ -26,11 +26,9 @@ from typing import Any, Dict, Optional, Tuple
 from repro.graph.graph import Graph
 from repro.obs.promtext import http_metrics_response, render_prometheus
 from repro.service import protocol
+from repro.service.dispatch import engine_ops, respond
 from repro.service.engine import QueryEngine
 from repro.service.protocol import ProtocolError
-
-#: Content type of the Prometheus text-exposition format we render.
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 @dataclass
@@ -41,7 +39,6 @@ class ServerConfig:
     port: int = 0  #: 0 = ephemeral; read the bound port from ``address``
     max_pending: int = 64  #: admission-control slots (queued + executing)
     queue_timeout: float = 2.0  #: seconds to wait for a slot before rejecting
-    batch_window: float = 0.002  #: topk coalescing window (seconds)
     cache_size: int = 1024  #: LRU result-cache capacity
     debug: bool = False  #: enable the test-only ``sleep`` op
     data_dir: Optional[str] = None  #: durable snapshot+WAL directory
@@ -174,7 +171,6 @@ class ESDServer:
                 store=store,
                 snapshot_interval=self.config.snapshot_interval,
                 cache_size=self.config.cache_size,
-                batch_window=self.config.batch_window,
                 slow_query_threshold=self.config.slow_query_threshold,
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,
@@ -187,13 +183,15 @@ class ESDServer:
             self.engine = QueryEngine(
                 graph,
                 cache_size=self.config.cache_size,
-                batch_window=self.config.batch_window,
                 slow_query_threshold=self.config.slow_query_threshold,
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,
                 invariant_sample_size=self.config.invariant_sample_size,
                 warm_metrics=list(self.config.warm_metrics),
             )
+        #: op -> handler; subclasses add their own ops to it.
+        self._ops = engine_ops(self.engine)
+        self._ops["sleep"] = self._sleep
         self._admission = threading.Semaphore(self.config.max_pending)
         self._tcp = _TCPServer((self.config.host, self.config.port), self)
         self._thread: Optional[threading.Thread] = None
@@ -285,87 +283,23 @@ class ESDServer:
             )
         self.engine.metrics.incr("inflight")
         try:
-            return protocol.ok_response(self._dispatch(message), request_id)
-        except ProtocolError as exc:
-            return protocol.error_response(exc.code, exc.message, request_id)
-        except (ValueError, TypeError) as exc:
-            return protocol.error_response(
-                protocol.INVALID_ARGUMENT, str(exc), request_id
-            )
-        except KeyError as exc:
-            detail = exc.args[0] if exc.args else exc
-            return protocol.error_response(
-                protocol.NOT_FOUND, str(detail), request_id
-            )
-        except Exception as exc:  # never crash the connection thread
-            self.engine.metrics.incr("internal_errors")
-            return protocol.error_response(
-                protocol.INTERNAL, f"{type(exc).__name__}: {exc}", request_id
-            )
+            return respond(self._ops, message, self.engine.metrics)
         finally:
             self.engine.metrics.incr("inflight", -1)
             self._admission.release()
 
-    def _dispatch(self, message: Dict[str, Any]) -> Any:
-        engine = self.engine
-        op = message["op"]
-        if op == "ping":
-            return "pong"
-        if op == "topk":
-            return engine.topk(
-                protocol.int_field(message, "k", default=10),
-                protocol.int_field(message, "tau", default=2),
-                metric=protocol.metric_field(message),
+    def _sleep(self, message: Dict[str, Any]) -> Any:
+        """Test/bench hook: occupy an admission slot for a while so
+        backpressure behaviour is observable deterministically."""
+        if not self.config.debug:
+            raise ProtocolError(
+                protocol.UNKNOWN_OP, "op 'sleep' requires debug mode"
             )
-        if op == "score":
-            return engine.score(
-                protocol.vertex_field(message, "u"),
-                protocol.vertex_field(message, "v"),
-                protocol.int_field(message, "tau", default=2),
-                metric=protocol.metric_field(message),
+        seconds = message.get("seconds", 0.1)
+        if not isinstance(seconds, (int, float)) or not 0 <= seconds <= 5:
+            raise ProtocolError(
+                protocol.INVALID_ARGUMENT,
+                f"field 'seconds' must be in [0, 5], got {seconds!r}",
             )
-        if op == "stats":
-            return engine.stats()
-        if op == "update":
-            action = message.get("action")
-            if action not in ("insert", "delete"):
-                raise ProtocolError(
-                    protocol.INVALID_ARGUMENT,
-                    f"field 'action' must be 'insert' or 'delete', got {action!r}",
-                )
-            return engine.update(
-                action,
-                protocol.vertex_field(message, "u"),
-                protocol.vertex_field(message, "v"),
-            )
-        if op == "watch":
-            return engine.watch(
-                protocol.int_field(message, "k", default=10),
-                protocol.int_field(message, "tau", default=2),
-                metric=protocol.metric_field(message),
-            )
-        if op == "changes":
-            return engine.changes(protocol.int_field(message, "watch_id"))
-        if op == "unwatch":
-            return engine.unwatch(protocol.int_field(message, "watch_id"))
-        if op == "metrics":
-            return engine.metrics_snapshot()
-        if op == "metrics-text":
-            return {"content_type": PROMETHEUS_CONTENT_TYPE,
-                    "text": self.metrics_text()}
-        if op == "sleep":
-            # Test/bench hook: occupy an admission slot for a while so
-            # backpressure behaviour is observable deterministically.
-            if not self.config.debug:
-                raise ProtocolError(
-                    protocol.UNKNOWN_OP, "op 'sleep' requires debug mode"
-                )
-            seconds = message.get("seconds", 0.1)
-            if not isinstance(seconds, (int, float)) or not 0 <= seconds <= 5:
-                raise ProtocolError(
-                    protocol.INVALID_ARGUMENT,
-                    f"field 'seconds' must be in [0, 5], got {seconds!r}",
-                )
-            time.sleep(float(seconds))
-            return {"slept": float(seconds)}
-        raise ProtocolError(protocol.UNKNOWN_OP, f"unknown op: {op!r}")
+        time.sleep(float(seconds))
+        return {"slept": float(seconds)}

@@ -5,8 +5,13 @@ for structure and its headline qualitative claim at 10-20% scale, so
 regressions in the harness surface in the unit suite.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench.experiments import (
     run_ablation,
     run_exp1_fig5,
@@ -105,6 +110,25 @@ def test_fig13_bank_money_top():
     (table,) = run_exp8_fig13()
     assert table.rows[0][0] == "(bank, money)"
     assert table.rows[0][1] == 6
+
+
+def test_fig13_output_is_independent_of_the_hash_seed():
+    # Equal-size context components once printed in set order, so the
+    # committed report changed with every interpreter's hash seed.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "from repro.bench.experiments import run_exp8_fig13\n"
+        "print(run_exp8_fig13()[0].render())"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outputs) == 1
 
 
 def test_ablation_structure():

@@ -41,7 +41,7 @@ def check_cluster_case(case: Case, _tmp_dir=None):
     """
     base = gnm_random(case.n, case.m, seed=case.seed)
     reference = DynamicESDIndex(gnm_random(case.n, case.m, seed=case.seed))
-    writer = WriterNode(base, WriterConfig(batch_window=0.0)).start()
+    writer = WriterNode(base, WriterConfig()).start()
     replicas = [
         ReplicaNode(
             ReplicaConfig(
@@ -130,7 +130,7 @@ def test_replicas_bit_identical_to_local_replay(seed, tmp_path_factory):
 def test_replica_rejects_stale_read_at_token(tmp_path_factory):
     """A min_version ahead of the replica is refused, never silently stale."""
     writer = WriterNode(
-        gnm_random(12, 30, seed=3), WriterConfig(batch_window=0.0)
+        gnm_random(12, 30, seed=3), WriterConfig()
     ).start()
     replica = ReplicaNode(
         ReplicaConfig(

@@ -71,7 +71,7 @@ def test_kill9_replica_rejoins_via_snapshot_and_catchup(tmp_path):
         gnm_random(20, 60, seed=9),
         # retain=4: the dead replica's versions age out of the ring, so
         # the rejoin MUST take the snapshot path, not records-only.
-        WriterConfig(batch_window=0.0, retain=4),
+        WriterConfig(retain=4),
     ).start()
     repl_host, repl_port = writer.repl_address
 

@@ -27,7 +27,7 @@ _wait = functools.partial(wait_until, timeout=15.0, interval=0.01)
 def cluster():
     """In-process writer + 2 replicas + router, all caught up."""
     writer = WriterNode(
-        gnm_random(18, 50, seed=11), WriterConfig(batch_window=0.0)
+        gnm_random(18, 50, seed=11), WriterConfig()
     ).start()
     replicas = [
         ReplicaNode(

@@ -23,7 +23,7 @@ from repro.service import ESDServer, ServerConfig
 @pytest.fixture
 def server():
     instance = ESDServer(
-        gnm_random(30, 90, seed=8), ServerConfig(port=0, batch_window=0.0)
+        gnm_random(30, 90, seed=8), ServerConfig(port=0)
     ).start()
     yield instance
     instance.shutdown()

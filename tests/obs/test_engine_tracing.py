@@ -1,7 +1,7 @@
 """End-to-end tracing through the serving stack.
 
 The acceptance bar: with tracing enabled, one uncontended ``topk``
-produces a single span tree covering batcher -> cache -> index, and a
+produces a single span tree covering cache -> index, and a
 durable ``update`` shows the WAL append inside the engine span.
 """
 
@@ -30,28 +30,24 @@ def _children(tree, record):
 
 
 class TestTopKSpanTree:
-    def test_single_topk_covers_batcher_cache_index(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+    def test_single_topk_covers_cache_index(self, fig1, sink):
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         records = sink.records
         (root,) = [r for r in records if r["parent_id"] is None]
         assert root["name"] == "engine.topk"
         assert root["attrs"]["cache"] == "miss"
+        assert root["attrs"]["batched"] == 1
+        assert root["attrs"]["graph_version"] == 0
         # One trace end to end.
         assert {r["trace_id"] for r in records} == {root["trace_id"]}
         tree = _tree(sink)
-        (submit,) = _children(tree, root)
-        assert submit["name"] == "batcher.submit"
-        assert submit["attrs"]["role"] == "leader"
-        (batch,) = _children(tree, submit)
-        assert batch["name"] == "engine.batch"
-        assert batch["attrs"]["cache_hits"] == 0
-        (index,) = _children(tree, batch)
+        (index,) = _children(tree, root)
         assert index["name"] == "index.topk"
         assert index["attrs"]["k"] == 5 and index["attrs"]["tau"] == 2
 
     def test_cache_hit_skips_the_index(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         sink.clear()
         engine.topk(5, 2)
@@ -63,7 +59,7 @@ class TestTopKSpanTree:
 
 class TestUpdateSpanTree:
     def test_update_traces_maintenance(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.update("insert", "a", "p")
         tree = _tree(sink)
         (root,) = tree[None]
@@ -78,7 +74,7 @@ class TestUpdateSpanTree:
         dyn, _ = store.open(bootstrap_graph=fig1)
         sink.clear()  # drop the bootstrap snapshot spans
         engine = QueryEngine(
-            dynamic_index=dyn, store=store, batch_window=0.0
+            dynamic_index=dyn, store=store
         )
         engine.update("delete", "a", "b")
         tree = _tree(sink)
@@ -93,7 +89,7 @@ class TestOverheadIsolation:
     def test_disabled_tracer_emits_nothing_from_engine(self, fig1):
         TRACER.disable()
         sink = CollectingSink()
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         engine.update("insert", "a", "p")
         assert sink.records == []

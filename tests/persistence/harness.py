@@ -109,7 +109,6 @@ def check_case(case: Case, tmp_dir, *, snapshot_interval: int = 4) -> Optional[s
         dynamic_index=dyn,
         store=store,
         snapshot_interval=snapshot_interval,
-        batch_window=0.0,
     )
     apply_ops(engine, case.ops)
     live_answers = {

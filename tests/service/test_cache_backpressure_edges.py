@@ -82,7 +82,7 @@ class TestCacheAcrossEqualVersions:
     def test_cache_shared_across_connections(self):
         """Two clients at the same graph_version share one cached answer."""
         server = ESDServer(
-            paper_example_graph(), ServerConfig(port=0, batch_window=0.0)
+            paper_example_graph(), ServerConfig(port=0)
         ).start()
         try:
             with ServiceClient(*server.address) as one:
@@ -113,7 +113,6 @@ class TestBackpressureSaturation:
             debug=True,
             max_pending=1,
             queue_timeout=0.15,
-            batch_window=0.0,
         )
         config.update(overrides)
         return ESDServer(paper_example_graph(), ServerConfig(**config)).start()

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core import build_index_fast
+from repro.core.maintenance import DynamicESDIndex
 from repro.core.monitor import TopKMonitor
 from repro.graph import Graph, paper_example_graph
 from repro.graph.generators import erdos_renyi
@@ -18,7 +19,7 @@ def _items(index_topk):
 
 class TestTopK:
     def test_matches_fresh_index(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         fresh = build_index_fast(fig1)
         for k, tau in [(1, 1), (5, 1), (10, 2), (3, 3)]:
             payload = engine.topk(k, tau)
@@ -26,7 +27,7 @@ class TestTopK:
             assert payload["graph_version"] == 0
 
     def test_repeat_query_hits_cache(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         first = engine.topk(5, 2)
         second = engine.topk(5, 2)
         assert first["cached"] is False
@@ -34,7 +35,7 @@ class TestTopK:
         assert second["items"] == first["items"]
 
     def test_validation(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         for bad in [(0, 1), (1, 0), ("5", 1), (1, True)]:
             with pytest.raises(ValueError):
                 engine.topk(*bad)
@@ -42,7 +43,7 @@ class TestTopK:
 
 class TestUpdateAndInvalidation:
     def test_update_bumps_version_and_invalidates(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         before = engine.topk(5, 1)
         result = engine.update("insert", "a", "p")
         assert result["graph_version"] == 1
@@ -55,7 +56,7 @@ class TestUpdateAndInvalidation:
         assert before["graph_version"] == 0
 
     def test_update_errors_do_not_bump_version(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         with pytest.raises(ValueError):
             engine.update("insert", "a", "b")  # already present
         with pytest.raises(KeyError):
@@ -65,7 +66,7 @@ class TestUpdateAndInvalidation:
         assert engine.graph_version == 0
 
     def test_score_and_stats_track_updates(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         assert engine.stats()["mutations"]["total"] == 0
         engine.update("delete", "a", "b")
         stats = engine.stats()
@@ -77,10 +78,31 @@ class TestUpdateAndInvalidation:
         assert score["in_graph"] is False and score["score"] == 0
 
 
+class TestLoadIndex:
+    def test_swap_serves_the_new_index_and_keeps_metrics(self, fig1):
+        engine = QueryEngine(fig1)
+        engine.topk(5, 2)
+        other = erdos_renyi(30, 0.2, seed=3)
+        engine.load_index(DynamicESDIndex(other))
+        # Both indexes are at version 0: the cache must not answer.
+        reply = engine.topk(5, 2)
+        assert reply["cached"] is False
+        assert reply["items"] == _items(build_index_fast(other).topk(5, 2))
+        engine.update("insert", 1000, 1001)  # hooks follow the new index
+        assert engine.topk(5, 2)["graph_version"] == 1
+        assert engine.metrics_snapshot()["endpoints"]["topk"]["requests"] == 3
+
+    def test_refused_under_a_watch(self, fig1):
+        engine = QueryEngine(fig1)
+        engine.watch(3, 2)
+        with pytest.raises(RuntimeError):
+            engine.load_index(DynamicESDIndex(paper_example_graph()))
+
+
 class TestSnapshotConsistency:
     def test_concurrent_reads_audit_clean_against_replay(self):
         graph = erdos_renyi(40, 0.15, seed=7)
-        engine = QueryEngine(graph, batch_window=0.001)
+        engine = QueryEngine(graph)
         edges = sorted(graph.edges())
         updates = []
         payloads = []
@@ -122,7 +144,7 @@ class TestSnapshotConsistency:
 
 class TestWatches:
     def test_watch_feed_matches_independent_monitor(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         reference = TopKMonitor(fig1, k=3, tau=1)
         watch_id = engine.watch(3, 1)["watch_id"]
 
@@ -148,7 +170,7 @@ class TestWatches:
         assert engine.changes(watch_id)["changes"] == []
 
     def test_unwatch_and_missing_watch(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         watch_id = engine.watch(2, 1)["watch_id"]
         assert engine.unwatch(watch_id)["removed"] is True
         with pytest.raises(KeyError):
@@ -157,19 +179,20 @@ class TestWatches:
             engine.unwatch(watch_id)
 
     def test_metrics_snapshot_shape(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         engine.topk(5, 2)
         snapshot = engine.metrics_snapshot()
         assert snapshot["cache"]["hits"] >= 1
-        assert snapshot["batcher"]["requests"] >= 1
+        assert snapshot["cache"]["computes"] == 1  # one miss, one compute
+        assert "batcher" not in snapshot
         assert "topk" in snapshot["endpoints"]
         assert snapshot["graph_version"] == 0
 
     def test_metrics_include_kernel_counters(self, fig1):
         from repro.kernels.counters import KERNEL_COUNTERS
 
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         snapshot = engine.obs.snapshot()
         assert snapshot["kernels"] == KERNEL_COUNTERS.snapshot()
         assert "merge_intersections" in snapshot["kernels"]

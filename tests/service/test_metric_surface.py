@@ -1,14 +1,15 @@
-"""The ``metric=`` surface: engine keys, batcher isolation, protocol."""
+"""The ``metric=`` surface: engine keys, single-flight isolation, protocol."""
 
 import json
 import threading
 
 import pytest
 
+from tests.conftest import wait_until
+
 from repro.core import build_index_fast
 from repro.graph import paper_example_graph
 from repro.metrics import get_metric
-from repro.service.batcher import TopKBatcher
 from repro.service.cache import ResultCache
 from repro.service.engine import QueryEngine
 from repro.service.server import ESDServer, ServerConfig
@@ -20,15 +21,15 @@ def _items(index_topk):
 
 class TestEngineMetricSurface:
     def test_default_metric_is_bit_identical_to_explicit_esd(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         implicit = engine.topk(5, 2)
-        engine_two = QueryEngine(paper_example_graph(), batch_window=0.0)
+        engine_two = QueryEngine(paper_example_graph())
         explicit = engine_two.topk(5, 2, metric="esd")
         assert implicit["items"] == explicit["items"]
         assert implicit["items"] == _items(build_index_fast(fig1).topk(5, 2))
 
     def test_each_metric_answers_through_its_scorer(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         for name in ("truss", "betweenness", "common_neighbors"):
             payload = engine.topk(5, 2, metric=name)
             expected = get_metric(name).topk(engine.dynamic_index.graph, 5)
@@ -36,7 +37,7 @@ class TestEngineMetricSurface:
             assert payload["items"] == _items(expected)
 
     def test_cross_metric_cache_isolation(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         esd = engine.topk(5, 2, metric="esd")
         truss = engine.topk(5, 2, metric="truss")
         assert esd["cached"] is False and truss["cached"] is False
@@ -47,7 +48,7 @@ class TestEngineMetricSurface:
         assert engine.topk(5, 2, metric="truss")["items"] == truss["items"]
 
     def test_mutation_invalidates_every_metric(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2, metric="esd")
         engine.topk(5, 2, metric="truss")
         engine.update("insert", "a", "p")
@@ -57,14 +58,14 @@ class TestEngineMetricSurface:
             assert after["graph_version"] == 1
 
     def test_unknown_metric_raises_before_touching_the_index(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         with pytest.raises(ValueError, match="unknown metric 'pagerank'"):
             engine.topk(5, 2, metric="pagerank")
         with pytest.raises(ValueError, match="metric must be a string"):
             engine.topk(5, 2, metric=7)  # type: ignore[arg-type]
 
     def test_score_carries_metric(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         default = engine.score("a", "b")
         assert default["metric"] == "esd"
         truss = engine.score("a", "b", metric="truss")
@@ -74,13 +75,13 @@ class TestEngineMetricSurface:
         )
 
     def test_watch_is_esd_only(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         assert "watch_id" in engine.watch(5, 2, metric="esd")
         with pytest.raises(ValueError, match="watch supports only"):
             engine.watch(5, 2, metric="truss")
 
     def test_per_metric_latency_labels(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2, metric="esd")
         engine.topk(5, 2, metric="truss")
         endpoints = engine.metrics.snapshot()["endpoints"]
@@ -90,7 +91,7 @@ class TestEngineMetricSurface:
 
     def test_labeled_series_stay_out_of_the_slow_log(self, fig1):
         engine = QueryEngine(
-            fig1, batch_window=0.0, slow_query_threshold=1e-9
+            fig1, slow_query_threshold=1e-9
         )
         engine.topk(5, 2, metric="truss")
         entries = engine.slow_log.snapshot()["entries"]
@@ -110,19 +111,18 @@ class TestCacheKeySchema:
         assert cache.get(("truss", 5, 2, 3))[0] is False
 
 
-class TestBatcherMetricKeys:
+class TestSingleFlightMetricKeys:
     def test_metrics_never_coalesce_into_one_result(self):
-        seen_batches = []
-
-        def execute(keys):
-            seen_batches.append(sorted(keys))
-            return {key: key[0] for key in keys}
-
-        batcher = TopKBatcher(execute, window=0.05)
+        cache = ResultCache(16)
+        gate = threading.Event()
         results = {}
 
         def query(metric):
-            results[metric] = batcher.submit((metric, 5, 2))
+            def compute():
+                gate.wait(timeout=5)
+                return metric
+
+            results[metric] = cache.get_or_compute((metric, 5, 2, 0), compute)
 
         threads = [
             threading.Thread(target=query, args=(m,))
@@ -130,40 +130,41 @@ class TestBatcherMetricKeys:
         ]
         for thread in threads:
             thread.start()
+        # Both computations are in flight at once: distinct keys, even
+        # for the same (k, τ, version).
+        wait_until(lambda: cache.computes == 2, timeout=5,
+                   message="two concurrent computations")
+        gate.set()
         for thread in threads:
             thread.join()
-        assert results["esd"][0] == "esd"
-        assert results["truss"][0] == "truss"
-        # Distinct keys, even when one batch served both.
-        assert sorted(key for batch in seen_batches for key in batch) == [
-            ("esd", 5, 2), ("truss", 5, 2),
-        ]
+        assert results == {"esd": ("esd", 1), "truss": ("truss", 1)}
+        assert cache.coalesced == 0
 
 
-class TestBatcherPerWaiterErrors:
+class TestSingleFlightPerWaiterErrors:
     def test_concurrent_waiters_get_distinct_exception_instances(self):
-        def execute(keys):
+        cache = ResultCache(16)
+        gate = threading.Event()
+
+        def compute():
+            gate.wait(timeout=5)
             raise RuntimeError("index on fire")
 
-        # A wide window so both barrier-released submissions land in the
-        # one batch whose failure they both observe.
-        batcher = TopKBatcher(execute, window=0.25)
         caught = {}
-        started = threading.Barrier(2)
 
-        def query(name, key):
-            started.wait()
+        def query(name):
             try:
-                batcher.submit(key)
+                cache.get_or_compute(("esd", 5, 2, 0), compute)
             except RuntimeError as exc:
                 caught[name] = exc
 
-        threads = [
-            threading.Thread(target=query, args=("a", ("esd", 5, 2))),
-            threading.Thread(target=query, args=("b", ("esd", 9, 2))),
-        ]
+        threads = [threading.Thread(target=query, args=(n,)) for n in "ab"]
         for thread in threads:
             thread.start()
+        # Both callers share the one flight whose failure they observe.
+        wait_until(lambda: cache.coalesced == 1, timeout=5,
+                   message="the follower joining the flight")
+        gate.set()
         for thread in threads:
             thread.join()
         assert set(caught) == {"a", "b"}
@@ -183,7 +184,7 @@ class TestServerMetricProtocol:
     def server(self):
         with ESDServer(
             paper_example_graph(),
-            ServerConfig(port=0, batch_window=0.0),
+            ServerConfig(port=0),
         ) as instance:
             yield instance
 

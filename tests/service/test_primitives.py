@@ -1,11 +1,13 @@
 """Unit tests for the serving-layer building blocks."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.service.batcher import TopKBatcher
+from tests.conftest import wait_until
+
 from repro.service.cache import ResultCache
 from repro.service.metrics import MetricsRegistry, percentile
 from repro.service.rwlock import RWLock
@@ -253,65 +255,114 @@ class TestPercentileBoundaries:
         assert percentile([5, 1, 9, 3], 0.0) == 1
 
 
-class TestTopKBatcher:
+class TestSingleFlight:
+    """``ResultCache.get_or_compute``: the single-flight miss path."""
+
     def test_single_flight_shares_one_execution(self):
+        cache = ResultCache(16)
         calls = []
         gate = threading.Event()
 
-        def execute(keys):
-            calls.append(sorted(keys))
+        def compute():
+            calls.append(1)
             gate.wait(timeout=5)
-            return {key: f"result-{key}" for key in keys}
+            return "result"
 
-        batcher = TopKBatcher(execute, window=0.05)
         results = [None] * 6
 
         def submit(i):
-            results[i] = batcher.submit((10, 2))
+            results[i] = cache.get_or_compute(("esd", 10, 2, 0), compute)
 
         threads = [threading.Thread(target=submit, args=(i,)) for i in range(6)]
         for t in threads:
             t.start()
-        time.sleep(0.15)  # everyone lands inside the leader's window
+        # Everyone has joined the leader's flight before it finishes.
+        wait_until(lambda: cache.coalesced == 5, timeout=5,
+                   message="five followers")
         gate.set()
         for t in threads:
             t.join(timeout=5)
-        assert len(calls) == 1  # six submits, one execution
-        assert all(value == ("result-(10, 2)", 6) for value in results)
-        assert batcher.stats()["coalesced"] == 5
+        assert len(calls) == 1  # six callers, one computation
+        assert all(value == ("result", 6) for value in results)
+        stats = cache.stats()
+        assert (stats["computes"], stats["coalesced"]) == (1, 5)
+        assert stats["largest_flight"] == 6
+        # The answer is cached: the next caller computes nothing.
+        assert cache.get_or_compute(("esd", 10, 2, 0), compute) == ("result", 1)
+        assert len(calls) == 1
 
-    def test_distinct_keys_one_pass(self):
+    def test_distinct_keys_compute_separately(self):
+        cache = ResultCache(16)
         calls = []
 
-        def execute(keys):
-            calls.append(sorted(keys))
-            return {key: key[0] * key[1] for key in keys}
+        def compute(key):
+            calls.append(key)
+            return key[1] * key[2]
 
-        batcher = TopKBatcher(execute, window=0.05)
-        out = {}
-
-        def submit(key):
-            out[key] = batcher.submit(key)
-
-        threads = [
-            threading.Thread(target=submit, args=(key,))
-            for key in [(10, 2), (50, 3), (10, 2)]
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert sum(len(keys) for keys in calls) == 2  # two distinct keys total
-        assert out[(10, 2)][0] == 20 and out[(50, 3)][0] == 150
+        out = {
+            key: cache.get_or_compute(key, lambda key=key: compute(key))
+            for key in [("esd", 10, 2, 0), ("esd", 50, 3, 0)]
+        }
+        again = cache.get_or_compute(("esd", 10, 2, 0), lambda: compute("x"))
+        assert calls == [("esd", 10, 2, 0), ("esd", 50, 3, 0)]
+        assert out[("esd", 10, 2, 0)] == (20, 1)
+        assert out[("esd", 50, 3, 0)] == (150, 1)
+        assert again == (20, 1)
 
     def test_execute_failure_propagates_to_all_waiters(self):
-        def execute(keys):
+        cache = ResultCache(16)
+        attempts = []
+
+        def compute():
+            attempts.append(1)
             raise RuntimeError("index on fire")
 
-        batcher = TopKBatcher(execute, window=0.0)
-        with pytest.raises(RuntimeError, match="index on fire"):
-            batcher.submit((10, 2))
+        for _ in range(2):  # a failure is never cached: each call retries
+            with pytest.raises(RuntimeError, match="index on fire"):
+                cache.get_or_compute(("esd", 10, 2, 0), compute)
+        assert len(attempts) == 2
+        assert len(cache) == 0
 
-    def test_rejects_negative_window(self):
-        with pytest.raises(ValueError):
-            TopKBatcher(lambda keys: {}, window=-1)
+    def test_stress_each_key_computed_once(self):
+        cache = ResultCache(64)
+        computed = {}
+        count_lock = threading.Lock()
+
+        def compute(key):
+            with count_lock:
+                computed[key] = computed.get(key, 0) + 1
+            time.sleep(0.001)
+            return key[1] * 10
+
+        wrong = []
+
+        def worker():
+            for _ in range(25):
+                for k in range(4):
+                    key = ("esd", k, 2, 0)
+                    value, _ = cache.get_or_compute(key, lambda: compute(key))
+                    if value != k * 10:
+                        wrong.append((key, value))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        # A lost update to the flight table would let two leaders in.
+        assert computed == {("esd", k, 2, 0): 1 for k in range(4)}
+        assert cache.computes == 4
+
+    def test_leaves_hit_and_miss_counters_alone(self):
+        cache = ResultCache(16)
+        cache.get_or_compute(("esd", 1, 1, 0), lambda: "v")
+        cache.get_or_compute(("esd", 1, 1, 0), lambda: "v")
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)
