@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.analytics import (
     communities_touched,
@@ -152,18 +152,19 @@ def run_exp3_fig7(scale: float = 1.0) -> List[ExperimentTable]:
         graph = dataset(name, scale)
         table = ExperimentTable(
             "Fig. 7", f"PESDIndex+ speedup on {name}",
-            ["threads", "speedup", "parallel work (s)", "serial (s)"],
+            ["threads", "speedup", "parallel work (units)", "serial (units)"],
         )
         for t in THREAD_VALUES:
             r = simulate_parallel_speedup(graph, t)
             table.add_row(
-                t, round(r["speedup"], 2), Seconds(r["parallel_seconds"]),
-                Seconds(r["serial_seconds"]),
+                t, round(r["speedup"], 2), int(r["parallel_work"]),
+                int(r["serial_work"]),
             )
         table.note(
-            "Single-core container: speedups are measured-work simulations "
-            "(per-chunk wall times under perfect overlap, DESIGN.md §3); "
-            "the paper reports ~12x at t=20 on real cores."
+            "Single-core container: speedups are counted-work simulations "
+            "(adjacency entries scanned per LPT chunk under perfect "
+            "overlap, DESIGN.md §3); the paper reports ~12x at t=20 on "
+            "real cores."
         )
         tables.append(table)
     return tables
@@ -237,20 +238,20 @@ def run_exp5_fig10(scale: float = 1.0) -> List[ExperimentTable]:
     graph = dataset(SCALABILITY_DATASET, scale)
     table = ExperimentTable(
         "Fig. 10", f"PESDIndex+ scalability on {SCALABILITY_DATASET}",
-        ["fraction", "m", "t=1 (s)", "t=20 (s)", "speedup"],
+        ["fraction", "m", "t=1 (work)", "t=20 (work)", "speedup"],
     )
     for fraction in scalability_fractions():
         sub = random_edge_subgraph(graph, fraction, seed=17)
-        r1 = simulate_parallel_speedup(sub, 1)
         r20 = simulate_parallel_speedup(sub, 20)
         table.add_row(
             f"{fraction:.0%}", sub.m,
-            Seconds(r1["overlapped_total"]), Seconds(r20["overlapped_total"]),
-            round(r1["overlapped_total"] / max(r20["overlapped_total"], 1e-9), 2),
+            int(r20["sequential_total"]), int(r20["overlapped_total"]),
+            round(r20["speedup"], 2),
         )
     table.note(
         "Paper: runtime grows smoothly with graph size; 20-thread speedup "
-        "between 6 and 9 on all subgraphs (simulated here, DESIGN.md §3)."
+        "between 6 and 9 on all subgraphs (simulated here in counted work "
+        "units, DESIGN.md §3)."
     )
     return [table]
 
@@ -417,7 +418,7 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
     """Design-choice ablations called out in DESIGN.md.
 
     (a) pruning power of the dequeue-twice framework per bound rule,
-    (b) treap-backed H(c) vs a sorted-array rebuild strategy,
+    (b) bucketed H(c) vs a sorted-array rebuild strategy,
     (c) bulk load vs incremental set_edge construction,
     (d) dequeue-twice vs the ordering-based scan (Chang et al. style),
     (e) degree vs degeneracy orientation for 4-clique enumeration.
@@ -433,39 +434,51 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
         prune.add_row(name, graph.m, s_md, s_cn, graph.m)
 
     structure = ExperimentTable(
-        "Ablation B", "H(c) backing structure: treap vs sorted array",
-        ["dataset", "treap build (s)", "array build (s)",
-         "treap 100 updates (s)", "array 100 updates (s)"],
+        "Ablation B", "H(c) backing structure: buckets vs sorted array",
+        ["dataset", "buckets build (s)", "array build (s)",
+         "buckets 100 updates (s)", "array 100 updates (s)"],
     )
     for name in ("youtube", "dblp"):
         graph = dataset(name, scale)
         sizes = {
             (u, v): ego_component_sizes(graph, u, v) for u, v in graph.edges()
         }
-        from repro.core import ESDIndex, index_from_sizes
+        from repro.core import index_from_sizes
 
-        t_treap = time_call(lambda: index_from_sizes(sizes))
+        t_buckets = time_call(lambda: index_from_sizes(sizes))
         t_array = time_call(lambda: _sorted_array_index(sizes))
         index = index_from_sizes(sizes)
         arrays = _sorted_array_index(sizes)
-        tracked = [e for e, s in sizes.items() if s][:100]
+        grown = _grown_sizes(sizes, limit=100)
+        states = [{e: sizes[e] for e in grown}, grown]
 
-        def treap_updates() -> None:
-            for e in tracked:
-                index.set_edge(e, sizes[e])
+        def flipping(apply) -> Callable[[], None]:
+            # Every call flips each tracked edge to its other multiset,
+            # so every timed update really moves the edge's entries.
+            flips = [0]
 
-        def array_updates() -> None:
-            for e in tracked:
-                _sorted_array_update(arrays, e, sizes[e])
+            def run() -> None:
+                flips[0] += 1
+                for e, s in states[flips[0] % 2].items():
+                    apply(e, s)
+
+            return run
+
+        bucket_updates = flipping(index.set_edge)
+        array_updates = flipping(
+            lambda e, s: _sorted_array_update(arrays, e, s)
+        )
 
         structure.add_row(
-            name, t_treap, t_array,
-            time_call(treap_updates), time_call(array_updates),
+            name, t_buckets, t_array,
+            time_call(bucket_updates), time_call(array_updates),
         )
     structure.note(
-        "Sorted arrays build faster but each update pays an O(n) re-sort "
-        "per touched list; the treap keeps updates logarithmic -- the "
-        "reason the paper uses a self-balancing BST."
+        "Each update flips an edge between its component sizes and the "
+        "same sizes with one component grown by 1, so its score changes "
+        "in one class.  Sorted arrays pay an O(n) re-sort per list; the "
+        "score buckets pay a bisect and a memmove within one bucket, and "
+        "build in one grouping pass."
     )
 
     load = ExperimentTable(
@@ -571,6 +584,27 @@ def _sorted_array_index(sizes: Dict) -> Dict[int, List]:
         entries.sort()
         classes[c] = entries
     return classes
+
+
+def _grown_sizes(sizes: Dict, limit: int) -> Dict:
+    """Up to ``limit`` edges, each with one component grown by 1.
+
+    The grown component is the smallest one whose size + 1 already
+    occurs in ``C``, so the update moves the edge within existing
+    classes and creates none (the sorted-array baseline has no back-fill).
+    """
+    classes = {c for s in sizes.values() for c in s}
+    grown: Dict = {}
+    for edge, s in sizes.items():
+        for pos, size in enumerate(sorted(s)):
+            if size + 1 in classes:
+                new = sorted(s)
+                new[pos] += 1
+                grown[edge] = sorted(new)
+                break
+        if len(grown) == limit:
+            break
+    return grown
 
 
 def _sorted_array_update(classes: Dict[int, List], edge, s) -> None:

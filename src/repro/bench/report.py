@@ -47,7 +47,7 @@ SECTIONS = [
      "Exp-7 discussion: for τ >= 3 most edges score <= 3, so the paper "
      "recommends τ = 2 for practical use."),
     ("ablation", "Ablations (this repo)",
-     "Design-choice checks: bound-rule pruning power, treap vs sorted "
+     "Design-choice checks: bound-rule pruning power, buckets vs sorted "
      "array for H(c), bulk vs incremental index load, dequeue-twice vs "
      "ordering scan, degree vs degeneracy orientation."),
     ("service", "Extra — concurrent query service (`esd serve`)",

@@ -274,58 +274,55 @@ def build_index_parallel(graph: Graph, threads: int = 0) -> ESDIndex:
     return index_from_sizes(sizes)
 
 
+def _edge_work(graph: Graph, u: Vertex, v: Vertex) -> int:
+    """Counted work units of one edge's share of PESDIndex+.
+
+    One unit per adjacency entry the per-edge computation scans: the
+    intersection ``N(u) ∩ N(v)`` probes the smaller endpoint's set, the
+    flood over the ego-network scans each common neighbour's adjacency,
+    and one unit inserts the edge's result into the index.
+    """
+    degree = graph.degree
+    work = min(degree(u), degree(v)) + 1
+    for w in graph.common_neighbors(u, v):
+        work += degree(w)
+    return work
+
+
 def simulate_parallel_speedup(graph: Graph, threads: int) -> Dict[str, float]:
-    """Measured-work simulation of the PESDIndex+ speedup (Fig. 7).
+    """Counted-work simulation of the PESDIndex+ speedup (Fig. 7).
 
     On a multi-core host :func:`build_index_parallel` gives real wall-clock
     speedups; this container may expose a single core, making measured
     ratios meaningless (DESIGN.md §3 documents the substitution).  This
-    routine times every worker chunk *sequentially* plus the serial index
-    load, then reports the speedup ``threads`` perfectly-overlapped
-    workers would achieve:
+    routine splits the edges into the same LPT chunks the pool would get,
+    counts every chunk's work in units (see :func:`_edge_work`) plus the
+    serial shard merge (one unit per merged entry), and reports the
+    speedup ``threads`` perfectly-overlapped workers would achieve:
 
         speedup(t) = (serial + sum(chunks)) / (serial + max(chunk_i))
 
-    Because chunk times are measured, not modeled, the skew the paper's
-    edge-parallel partitioning is designed to avoid shows up faithfully.
-
-    Both phases are chunk-timed: the component computation (step two of
-    §IV-E) and the per-edge index insertion (the paper parallelizes lines
-    17 and 23 of Algorithm 3 the same way, inserting into the shared
-    ``H(c)`` structures concurrently).  Only the final shard merge is
-    counted as serial.
+    The chunk work is the actual work of the actual partition, so the
+    skew the paper's edge-parallel partitioning is designed to avoid
+    shows up faithfully -- and the same graph always gives the same
+    answer, whatever else the host is running.
     """
-    import time
-
-    global _WORKER_GRAPH
     threads = _resolve_threads(threads)
-    _WORKER_GRAPH = graph
-    try:
-        chunks = _cost_balanced_chunks(graph, threads)
-        chunk_times: List[float] = []
-        shards: List[Dict[Edge, Tuple[int, ...]]] = []
-        for chunk in chunks:
-            start = time.perf_counter()
-            sizes = _component_sizes_chunk(chunk)
-            index_from_sizes(sizes)  # this chunk's share of the H build
-            chunk_times.append(time.perf_counter() - start)
-            shards.append(sizes)
-    finally:
-        _WORKER_GRAPH = None
-    # Serial remainder: merging the shard outputs (cheap dict union).
-    start = time.perf_counter()
-    merged: Dict[Edge, Tuple[int, ...]] = {}
-    for shard in shards:
-        merged.update(shard)
-    serial = time.perf_counter() - start
-    total = serial + sum(chunk_times)
-    overlapped = serial + max(chunk_times)
+    chunk_work = [
+        sum(_edge_work(graph, u, v) for u, v in chunk)
+        for chunk in _cost_balanced_chunks(graph, threads)
+    ]
+    # Serial remainder: merging the shard outputs, one per edge whose
+    # ego-network is non-empty.
+    serial = sum(1 for u, v in graph.edges() if graph.common_neighbors(u, v))
+    total = serial + sum(chunk_work)
+    overlapped = serial + max(chunk_work)
     return {
         "threads": float(threads),
-        "serial_seconds": serial,
-        "parallel_seconds": sum(chunk_times),
-        "sequential_total": total,
-        "overlapped_total": overlapped,
+        "serial_work": float(serial),
+        "parallel_work": float(sum(chunk_work)),
+        "sequential_total": float(total),
+        "overlapped_total": float(overlapped),
         "speedup": total / overlapped if overlapped > 0 else 1.0,
     }
 

@@ -12,13 +12,13 @@ because the vertex analogue of Observation 1 holds:
 So where the edge index enumerates 4-cliques and performs six unions,
 the vertex index enumerates triangles once each (Ortmann-Brandes
 orientation) and performs three unions -- one per triangle vertex.
-Everything else (the ``H(c)`` size-class treaps, query, back-fill) is
+Everything else (the ``H(c)`` score buckets, query, back-fill) is
 shared with :class:`~repro.core.index.ESDIndex`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cliques.triangles import iter_triangles
 from repro.core.index import ESDIndex
@@ -68,22 +68,6 @@ class VertexESDIndex(ESDIndex):
             else:
                 assert v not in self._sizes, f"phantom vertex {v!r}"
         assert not tracked, f"stale vertices in index: {tracked}"
-
-    def component_sizes(self, v) -> List[int]:
-        """Stored component-size multiset of vertex ``v``."""
-        hist = self._sizes.get(v)
-        if not hist:
-            return []
-        return sorted(hist.elements())
-
-    def score(self, v, tau: int) -> int:
-        """Vertex structural diversity of ``v`` at threshold ``tau``."""
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        hist = self._sizes.get(v)
-        if not hist:
-            return 0
-        return sum(count for size, count in hist.items() if size >= tau)
 
 
 def vertex_components_fast(graph: Graph) -> Dict[Vertex, Tuple[dict, dict]]:

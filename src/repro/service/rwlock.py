@@ -7,7 +7,7 @@ concurrent queries proceed in parallel (useful even under the GIL: the
 index query releases it during allocation-heavy work); a writer gets
 exclusive access, so a query can never observe a half-applied edge
 update -- :class:`~repro.core.maintenance.DynamicESDIndex` touches the
-graph, the ``M`` structures and the treaps in sequence, and only the
+graph, the ``M`` structures and the ``H(c)`` buckets in sequence, and only the
 final state is a legal snapshot.
 
 Write preference: once a writer is waiting, new readers queue behind it.

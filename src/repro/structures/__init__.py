@@ -1,7 +1,6 @@
-"""Core data structures: union-find, lazy heaps, order-statistic treaps."""
+"""Core data structures: union-find and lazy heaps."""
 
 from repro.structures.dsu import DisjointSet, EdgeComponentSets
 from repro.structures.heap import LazyMaxHeap
-from repro.structures.treap import OrderStatTreap
 
-__all__ = ["DisjointSet", "EdgeComponentSets", "LazyMaxHeap", "OrderStatTreap"]
+__all__ = ["DisjointSet", "EdgeComponentSets", "LazyMaxHeap"]

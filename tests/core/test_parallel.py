@@ -87,9 +87,9 @@ class TestSpeedupSimulation:
         g = load_dataset("youtube", scale=0.2)
         r = simulate_parallel_speedup(g, 2)
         assert set(r) >= {
-            "threads", "serial_seconds", "parallel_seconds", "speedup"
+            "threads", "serial_work", "parallel_work", "speedup"
         }
-        assert r["parallel_seconds"] > 0
+        assert r["parallel_work"] > 0
 
 
 class TestPoolLifecycle:

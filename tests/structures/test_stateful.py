@@ -13,49 +13,77 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.structures import DisjointSet, LazyMaxHeap, OrderStatTreap
+from repro.core.index import _ScoreBuckets
+from repro.structures import DisjointSet, LazyMaxHeap
 
 
-class TreapMachine(RuleBasedStateMachine):
-    """OrderStatTreap vs a plain Python set."""
+class ScoreBucketsMachine(RuleBasedStateMachine):
+    """``H(c)``'s score buckets vs a sorted list of ``(-score, item)``."""
 
     def __init__(self):
         super().__init__()
-        self.treap = OrderStatTreap()
-        self.model = set()
+        self.buckets = _ScoreBuckets()
+        self.model = {}  # item -> score
 
-    @rule(key=st.integers(-50, 50))
-    def insert(self, key):
-        if key in self.model:
+    def _reference(self):
+        return sorted((-score, item) for item, score in self.model.items())
+
+    @rule(item=st.integers(-20, 20), score=st.integers(1, 6))
+    def add(self, item, score):
+        if self.model.get(item) == score:
             try:
-                self.treap.insert(key)
-                raise AssertionError("duplicate insert must raise")
+                self.buckets.add(item, score)
+                raise AssertionError("duplicate add must raise")
             except KeyError:
                 pass
+        elif item not in self.model:
+            self.buckets.add(item, score)
+            self.model[item] = score
+
+    @rule(item=st.integers(-20, 20), score=st.integers(1, 6))
+    def remove(self, item, score):
+        if self.model.get(item) == score:
+            self.buckets.remove(item, score)
+            del self.model[item]
         else:
-            self.treap.insert(key)
-            self.model.add(key)
+            try:
+                self.buckets.remove(item, score)
+                raise AssertionError("removing an absent entry must raise")
+            except KeyError:
+                pass
 
-    @rule(key=st.integers(-50, 50))
-    def discard(self, key):
-        assert self.treap.discard(key) == (key in self.model)
-        self.model.discard(key)
+    @rule(item=st.integers(-20, 20), score=st.integers(1, 6))
+    def move(self, item, score):
+        if item in self.model:
+            self.buckets.remove(item, self.model[item])
+            self.buckets.add(item, score)
+            self.model[item] = score
 
-    @rule(index=st.integers(0, 120))
-    def kth(self, index):
-        ordered = sorted(self.model)
-        if index < len(ordered):
-            assert self.treap.kth(index) == ordered[index]
+    @rule(k=st.integers(1, 45))
+    def top(self, k):
+        expected = [(item, -neg) for neg, item in self._reference()[:k]]
+        assert self.buckets.top(k) == expected
 
-    @rule(k=st.integers(0, 30))
-    def smallest(self, k):
-        assert self.treap.smallest(k) == sorted(self.model)[:k]
+    @rule(buckets=st.dictionaries(
+        st.integers(1, 6), st.lists(st.integers(-20, 20), unique=True)
+    ))
+    def rebuild(self, buckets):
+        self.model = {}
+        for score, items in buckets.items():
+            for item in items:
+                self.model.setdefault(item, score)
+        grouped = {}
+        for item, score in self.model.items():
+            grouped.setdefault(score, []).append(item)
+        self.buckets = _ScoreBuckets.from_buckets(grouped)
 
     @invariant()
     def matches_model(self):
-        assert len(self.treap) == len(self.model)
-        assert list(self.treap) == sorted(self.model)
-        self.treap.check_invariants()
+        assert len(self.buckets) == len(self.model)
+        assert list(self.buckets) == [
+            (item, -neg) for neg, item in self._reference()
+        ]
+        self.buckets.check_invariants()
 
 
 class DisjointSetMachine(RuleBasedStateMachine):
@@ -141,10 +169,10 @@ class HeapMachine(RuleBasedStateMachine):
             assert self.heap.priority_of(item) == priority
 
 
-TestTreapStateful = TreapMachine.TestCase
+TestScoreBucketsStateful = ScoreBucketsMachine.TestCase
 TestDisjointSetStateful = DisjointSetMachine.TestCase
 TestHeapStateful = HeapMachine.TestCase
 
-for case in (TestTreapStateful, TestDisjointSetStateful, TestHeapStateful):
+for case in (TestScoreBucketsStateful, TestDisjointSetStateful, TestHeapStateful):
     case.settings = settings(max_examples=40, stateful_step_count=30,
                              deadline=None)

@@ -44,13 +44,11 @@ def test_public_methods_documented():
         DisjointSet,
         EdgeComponentSets,
         LazyMaxHeap,
-        OrderStatTreap,
     )
 
     undocumented = []
     for cls in (Graph, ESDIndex, DynamicESDIndex, VertexESDIndex,
-                TopKMonitor, DisjointSet, EdgeComponentSets, LazyMaxHeap,
-                OrderStatTreap):
+                TopKMonitor, DisjointSet, EdgeComponentSets, LazyMaxHeap):
         for name, member in inspect.getmembers(cls):
             if name.startswith("_"):
                 continue
