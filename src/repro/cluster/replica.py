@@ -186,9 +186,9 @@ class ReplicaNode:
 
         With a namespace configured, replicas of one cluster share one
         read-only CSR segment per snapshot version: the first installer
-        builds it straight from the state's edge list
-        (:func:`~repro.persistence.snapshot.csr_from_state`) and
-        publishes; the rest attach and map.  Either way the replica's
+        publishes the CSR its restore already built to derive ``M``
+        (the graph's cached snapshot, so one CSR per load); the rest
+        attach and map.  Either way the replica's
         maintenance kernel adopts the segment's id space, so replication
         records apply through the same id-space path the writer used --
         no per-replica snapshot rebuild on the first mutation.  Any
@@ -200,15 +200,15 @@ class ReplicaNode:
         if not kernels_enabled():
             return
         from repro.kernels import shm
+        from repro.kernels.csr import snapshot_csr
         from repro.kernels.delta import MaintenanceKernel
-        from repro.persistence.snapshot import csr_from_state
 
         if not self.config.shm_namespace or not shm.shm_available():
             return
         name = f"{self.config.shm_namespace}-v{state['graph_version']}"
         try:
             segment, created = shm.create_or_attach(
-                name, lambda: csr_from_state(state)
+                name, lambda: snapshot_csr(dyn.graph)
             )
             dyn.adopt_kernel(
                 MaintenanceKernel.from_csr(segment.csr(), dyn.graph.revision)

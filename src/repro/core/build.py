@@ -11,6 +11,11 @@ components of all edge ego-networks are computed:
   per-edge disjoint-set structures ``M`` (Observation 1) --
   ``O((α γ(n) + log m) α m)``.
 
+With kernels enabled (``ESD_KERNELS=csr``, the default) both the static
+build and the ``M`` structures of :func:`compute_components_fast` come
+from one bitset flood fill per edge over the shared CSR snapshot instead;
+the set route keeps Algorithm 3 as the reference.
+
 The shared second phase loads the component-size multisets into the
 :class:`~repro.core.index.ESDIndex` (Algorithm 2 lines 5-15).
 """
@@ -86,40 +91,12 @@ def _union_raw(state: tuple, a, b) -> None:
     size[ra] += size.pop(rb)
 
 
-def _raw_components_kernel(graph: Graph) -> Dict[Edge, tuple]:
-    """Kernel route of :func:`_raw_components`: id-space union-find on the
-    CSR snapshot, translated back to label-keyed states.
-
-    The returned dict preserves ``graph.edges()`` iteration order so
-    downstream index loading sees the same insertion order as the
-    set-based path.
-    """
-    from repro.kernels.components import csr_raw_components
-    from repro.kernels.csr import snapshot_csr
-
-    csr = snapshot_csr(graph)
-    edge_pairs, parents, sizes = csr_raw_components(csr)
-    label = csr.interner.label
-    canon = csr.canonical_label_edge
-    by_edge: Dict[Edge, tuple] = {}
-    for (a, b), parent, size in zip(edge_pairs, parents, sizes):
-        by_edge[canon(a, b)] = (
-            {label(w): label(p) for w, p in parent.items()},
-            {label(r): s for r, s in size.items()},
-        )
-    return {edge: by_edge[edge] for edge in graph.edges()}
-
-
 def _raw_components(graph: Graph) -> Dict[Edge, tuple]:
     """Algorithm 3's M structures as raw (parent, size) dict pairs.
 
     Lines 1-4 (init from common neighborhoods) fused with lines 6-15 (the
     single-pass 4-clique enumeration and its six unions per clique).
-    With kernels enabled the whole pass runs in interned id space
-    (:func:`repro.kernels.components.csr_raw_components`).
     """
-    if kernels_enabled() and graph.m:
-        return _raw_components_kernel(graph)
     raw: Dict[Edge, tuple] = {}
     for u, v in graph.edges():
         common = graph.common_neighbors(u, v)
@@ -151,28 +128,32 @@ def _raw_components(graph: Graph) -> Dict[Edge, tuple]:
 
 
 def compute_components_fast(graph: Graph) -> Dict[Edge, EdgeComponentSets]:
-    """All edge ego-network components via single-pass 4-clique listing."""
-    components: Dict[Edge, EdgeComponentSets] = {}
-    for edge, (parent, size) in _raw_components(graph).items():
-        m = EdgeComponentSets()
-        m._dsu._parent = parent
-        m._dsu._size = size
-        m._dsu._count = len(size)
-        components[edge] = m
-    return components
+    """The ``M`` structure of every edge, in ``graph.edges()`` order.
+
+    The set route is Algorithm 3's single-pass 4-clique listing with six
+    unions per clique.  The kernel route derives each partition directly
+    by the bitset flood fill over the shared CSR snapshot
+    (:func:`repro.kernels.components.csr_all_ego_partitions`): ``M_uv``
+    is by definition the component partition of ``G_N(uv)``, so the
+    fill yields the same groups with no per-clique unions.
+    """
+    if kernels_enabled() and graph.m:
+        from repro.kernels.components import csr_all_ego_partitions
+        from repro.kernels.csr import snapshot_csr
+
+        raw = csr_all_ego_partitions(snapshot_csr(graph))
+    else:
+        raw = _raw_components(graph)
+    adopt = EdgeComponentSets.adopt
+    return {edge: adopt(*raw[edge]) for edge in graph.edges()}
 
 
 def build_index_fast(graph: Graph) -> ESDIndex:
     """Algorithm 3 (ESDIndex+): 4-clique enumeration + union-find.
 
     The kernel route takes the bitset flood fill over the shared CSR
-    snapshot instead: it produces the same component-size multisets
-    (already keyed by canonical label edge, no union-find state to
-    translate back) and is the faster of the two kernels when only the
-    sizes are needed.  The 4-clique union-find kernel
-    (:func:`repro.kernels.components.csr_raw_components`) remains the
-    route for :func:`compute_components_fast`, where the per-edge ``M``
-    structures must survive for dynamic maintenance.
+    snapshot instead: it produces the same component-size multisets,
+    already keyed by canonical label edge.
     """
     if kernels_enabled() and graph.m:
         from repro.kernels.components import csr_all_ego_component_sizes
@@ -216,7 +197,8 @@ def build_index_fast_with_components(
 
     The dynamic maintenance algorithms (§V) keep ``M`` alive between
     updates; :class:`repro.core.maintenance.DynamicESDIndex` starts from
-    this function's output.
+    this function's output, both on a fresh build and on a restore from
+    a snapshot (which stores only the graph).
     """
     components = compute_components_fast(graph)
     index = index_from_sizes(

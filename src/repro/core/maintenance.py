@@ -553,73 +553,46 @@ class DynamicESDIndex:
     # -- state export / restore (persistence layer) --------------------------
 
     def export_state(self) -> Dict[str, Any]:
-        """Deterministic, JSON-ready image of the full maintained state.
+        """Deterministic, JSON-ready image of the durable state: the graph.
 
-        Captures what a cold rebuild would have to recompute: the graph
-        (vertices + canonical edges) and, aligned entry-for-entry with
-        the edge list, the component *partitions* of every edge's
-        ego-network (the ``M`` structures).  Groups and members are
-        sorted so identical logical state always exports identical
-        bytes -- the snapshot golden-file test depends on this.
+        Vertices (isolated ones would be lost from the edge list alone)
+        and sorted canonical edges, plus the version and mutation
+        counters.  The ``M`` structures are not exported: ``M_uv`` is
+        by definition the component partition of ``G_N(uv)``, so the
+        graph fixes it and :meth:`from_state` derives it again.  Sorted
+        so identical logical state always exports identical bytes -- the
+        snapshot golden-file test depends on this.
         """
-        vertices = sorted(self._graph.vertices())
-        edges = sorted(self._graph.edges())
-        components = []
-        for edge in edges:
-            groups = sorted(
-                sorted(members)
-                for members in self._components[edge].groups().values()
-            )
-            components.append(groups)
         return {
             "graph_version": self._version,
             "insertions": self._mutations.insertions,
             "deletions": self._mutations.deletions,
-            "vertices": vertices,
-            "edges": [list(edge) for edge in edges],
-            "components": components,
+            "vertices": sorted(self._graph.vertices()),
+            "edges": [list(edge) for edge in sorted(self._graph.edges())],
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "DynamicESDIndex":
-        """Restore from :meth:`export_state` output without rebuilding.
+        """Restore from :meth:`export_state` output.
 
-        The ``M`` structures are reassembled directly from the stored
-        partitions and the ESDIndex is bulk-loaded from their component
-        sizes, so the 4-clique enumeration of a cold build is skipped
-        entirely -- restoring is ``O(α m log m)`` instead of
-        ``O(α² γ(n) m)``.
+        Rebuilds the graph from ``vertices``/``edges``, then derives
+        ``M`` and the ESDIndex through the same path as a fresh build
+        (:func:`~repro.core.build.build_index_fast_with_components`: the
+        bitset flood fill with kernels on, Algorithm 3 otherwise) and
+        carries the version and mutation counters over.  A restore
+        therefore costs one index build; the CSR snapshot it leaves
+        cached also seeds the maintenance kernel.
         """
-        self = cls.__new__(cls)
         graph = Graph()
         for vertex in state["vertices"]:
             graph.add_vertex(vertex)
-        edges = [tuple(edge) for edge in state["edges"]]
-        for u, v in edges:
+        for u, v in state["edges"]:
             graph.add_edge(u, v)
-        components: Dict[Edge, EdgeComponentSets] = {}
-        sizes: Dict[Edge, List[int]] = {}
-        for edge, groups in zip(edges, state["components"]):
-            m = EdgeComponentSets()
-            for group in groups:
-                first = group[0]
-                m.add(first)
-                for member in group[1:]:
-                    m.union(first, member)
-            components[edge] = m
-            if groups:
-                sizes[edge] = [len(group) for group in groups]
-        self._graph = graph
-        self._components = components
-        self._index = ESDIndex.bulk_load(sizes)
+        self = cls(graph)
         self._version = state["graph_version"]
         self._mutations = MutationCounters(
             insertions=state["insertions"], deletions=state["deletions"]
         )
-        self._subscribers = []
-        self._batch_subscribers = []
-        self._pending_events = None
-        self._kmaint = None
         return self
 
     # -- invariant checking (testing hook) -------------------------------------

@@ -14,7 +14,8 @@ the compute-heavy algorithms actually run on:
 * :mod:`~repro.kernels.triangles` -- CSR-native triangle and 4-clique
   enumeration;
 * :mod:`~repro.kernels.components` -- common-neighborhood component
-  labeling (flood fill) and the fused 4-clique union-find builder;
+  labeling by bitset flood fill: per-edge sizes, or whole ``M``
+  partitions;
 * :mod:`~repro.kernels.dispatch` -- the ``ESD_KERNELS`` switch the
   wired-up call sites consult (``csr`` by default, ``set`` restores
   the original paths bit-identically);
@@ -28,8 +29,8 @@ See docs/PERFORMANCE.md for the full tour and the benchmark workflow.
 from repro.kernels.betweenness import csr_ego_betweenness
 from repro.kernels.components import (
     csr_all_ego_component_sizes,
+    csr_all_ego_partitions,
     csr_ego_component_sizes_ids,
-    csr_raw_components,
 )
 from repro.kernels.counters import KERNEL_COUNTERS, KernelCounters
 from repro.kernels.csr import BITSET_DEGREE_FALLBACK, CSRGraph
@@ -66,12 +67,12 @@ __all__ = [
     "KernelCounters",
     "VertexInterner",
     "csr_all_ego_component_sizes",
+    "csr_all_ego_partitions",
     "csr_count_triangles",
     "csr_ego_betweenness",
     "csr_ego_component_sizes_ids",
     "csr_iter_four_cliques",
     "csr_iter_triangles",
-    "csr_raw_components",
     "csr_triangle_count_per_edge",
     "csr_truss_numbers",
     "decode_bits",

@@ -1,26 +1,26 @@
 """Common-neighborhood component labeling on the CSR snapshot.
 
-Two kernels, covering the two index-construction strategies:
+Algorithm 2's per-edge BFS, replaced by a bitset flood fill: the
+frontier expansion is one word-parallel OR over member adjacency rows
+per step (the :mod:`repro.graph.bitset` technique, now living on the
+shared interned snapshot).  Two readouts of the same fill:
 
 * :func:`csr_ego_component_sizes_ids` / :func:`csr_all_ego_component_sizes`
-  -- the per-edge BFS of Algorithm 2, replaced by a bitset flood fill:
-  the frontier expansion is one word-parallel OR over member adjacency
-  rows per step (the :mod:`repro.graph.bitset` technique, now living on
-  the shared interned snapshot).
-* :func:`csr_raw_components` -- Algorithm 3's single-pass 4-clique
-  enumeration fused with the six per-clique Union operations, on dense
-  ids: edge states are list-indexed by an edge id, pair lookups hash a
-  single packed int ``u * n + v`` instead of a label tuple, and the
-  union-find runs on small int-keyed dicts.
+  -- the component-size multisets, all the static index needs;
+* :func:`csr_all_ego_partitions` -- the partitions themselves, as the
+  raw ``(parent, size)`` dicts of the paper's ``M`` structures, which
+  dynamic maintenance keeps alive between updates.
 
-Because ids are degree-rank ordered, every 4-clique ``{u, v, w1, w2}``
-comes out with ``u < v < w1 < w2`` in plain int order, so the six
-canonical edge keys need no comparisons at all.
+Since ``M_uv`` is by definition the component partition of
+``G_N(uv)``, the flood fill derives exactly what Algorithm 3's
+4-clique union-find would, without the per-clique unions (the set
+route in :mod:`repro.core.build` keeps that union-find as the
+reference).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.kernels.counters import KERNEL_COUNTERS
 from repro.kernels.csr import CSRGraph
@@ -28,18 +28,26 @@ from repro.kernels.csr import CSRGraph
 __all__ = [
     "csr_ego_component_sizes_ids",
     "csr_all_ego_component_sizes",
-    "csr_raw_components",
+    "csr_all_ego_partitions",
+    "flood_fill_groups",
 ]
 
 
-def _flood_fill_sizes(adj_bits: List[int], members: int) -> List[int]:
-    """Component sizes of the subgraph induced on the ``members`` bitset."""
-    sizes: List[int] = []
+def flood_fill_groups(adj_bits: List[int], members: int) -> List[int]:
+    """Components of the subgraph induced on ``members``, one bitmask each.
+
+    Each expansion step ORs whole adjacency rows, masked back to
+    ``members``, and stops early once a component has absorbed every
+    remaining member (the common case: an ego-network that is one
+    clique needs one step, not two).  Components come out in order of
+    their lowest id.
+    """
+    groups: List[int] = []
     while members:
         seed = members & -members
         component = seed
         frontier = seed
-        while frontier:
+        while frontier and component != members:
             reach = 0
             bits = frontier
             while bits:
@@ -48,9 +56,14 @@ def _flood_fill_sizes(adj_bits: List[int], members: int) -> List[int]:
                 bits ^= low
             frontier = reach & members & ~component
             component |= frontier
-        sizes.append(component.bit_count())
+        groups.append(component)
         members &= ~component
-    return sizes
+    return groups
+
+
+def _flood_fill_sizes(adj_bits: List[int], members: int) -> List[int]:
+    """Component sizes of the subgraph induced on the ``members`` bitset."""
+    return [group.bit_count() for group in flood_fill_groups(adj_bits, members)]
 
 
 def csr_ego_component_sizes_ids(csr: CSRGraph, a: int, b: int) -> List[int]:
@@ -86,121 +99,45 @@ def csr_all_ego_component_sizes(csr: CSRGraph) -> Dict[Tuple, List[int]]:
     return out
 
 
-def _union(parent: Dict[int, int], size: Dict[int, int], a: int, b: int) -> None:
-    """Union with path halving + by size on raw int-keyed dicts."""
-    ra = a
-    while parent[ra] != ra:
-        parent[ra] = parent[parent[ra]]
-        ra = parent[ra]
-    rb = b
-    while parent[rb] != rb:
-        parent[rb] = parent[parent[rb]]
-        rb = parent[rb]
-    if ra == rb:
-        return
-    if size[ra] < size[rb]:
-        ra, rb = rb, ra
-    parent[rb] = ra
-    size[ra] += size.pop(rb)
-
-
-def csr_raw_components(
+def csr_all_ego_partitions(
     csr: CSRGraph,
-) -> Tuple[List[Tuple[int, int]], List[Dict[int, int]], List[Dict[int, int]]]:
-    """Algorithm 3's per-edge ``M`` structures, entirely in id space.
+) -> Dict[Tuple, Tuple[Dict[Hashable, Hashable], Dict[Hashable, int]]]:
+    """Every edge's ``M`` as raw label-keyed union-find dicts.
 
-    Returns ``(edge_pairs, parents, sizes)`` where edge id ``e`` is the
-    position of the directed CSR edge ``edge_pairs[e] = (u, v)``
-    (``u < v``), ``parents[e]``/``sizes[e]`` are the union-find state
-    over that edge's common neighborhood, seeded from a bitset AND and
-    merged by the fused 4-clique enumeration.
+    Keyed by canonical label edge like
+    :func:`csr_all_ego_component_sizes`; the value is ``(parent, size)``
+    where each component's first member (lowest id) is its root, every
+    member points straight at it, and ``size`` maps roots to component
+    sizes -- already fully compressed, ready to install into an
+    :class:`~repro.structures.dsu.EdgeComponentSets`.
     """
-    n = csr.n
-    csr.ensure_bits()
-    adj_bits, out_bits = csr.adj_bits, csr.out_bits
-    offsets, neighbors, dag_start = csr.offsets, csr.neighbors, csr.dag_start
-    KERNEL_COUNTERS.four_clique_kernels += 1
+    adj_bits = csr.adj_bits
+    canon = csr.canonical_label_edge
+    labels = csr.interner.labels
+    out: Dict[Tuple, Tuple[Dict[Hashable, Hashable], Dict[Hashable, int]]] = {}
     KERNEL_COUNTERS.component_kernels += 1
-
-    # Lines 1-4: seed every edge's M with its common neighbors as
-    # singletons.  Edge ids follow directed CSR row order, so the
-    # enumeration pass below can walk them with a plain counter.
-    edge_pairs: List[Tuple[int, int]] = []
-    parents: List[Dict[int, int]] = []
-    sizes: List[Dict[int, int]] = []
-    eid_of: Dict[int, int] = {}  # packed key u * n + v  ->  edge id
+    offsets, neighbors, dag_start = csr.offsets, csr.neighbors, csr.dag_start
     pairs = 0
-    for u in range(n):
+    for u in range(csr.n):
         lo, hi = dag_start[u], offsets[u + 1]
         if lo >= hi:
             continue
         bits_u = adj_bits[u]
-        base = u * n
         pairs += hi - lo
         for idx in range(lo, hi):
             v = neighbors[idx]
-            eid_of[base + v] = len(edge_pairs)
-            edge_pairs.append((u, v))
+            parent: Dict[Hashable, Hashable] = {}
+            size: Dict[Hashable, int] = {}
+            out[canon(u, v)] = (parent, size)
             common = bits_u & adj_bits[v]
-            parent: Dict[int, int] = {}
-            size: Dict[int, int] = {}
-            while common:
-                low = common & -common
-                w = low.bit_length() - 1
-                common ^= low
-                parent[w] = w
-                size[w] = 1
-            parents.append(parent)
-            sizes.append(size)
+            if not common:
+                continue  # empty ego-network (most edges of a sparse graph)
+            for group in flood_fill_groups(adj_bits, common):
+                root = labels[(group & -group).bit_length() - 1]
+                size[root] = group.bit_count()
+                while group:
+                    low = group & -group
+                    parent[labels[low.bit_length() - 1]] = root
+                    group ^= low
     KERNEL_COUNTERS.bitset_intersections += pairs
-
-    # Lines 6-15: one pass over all 4-cliques, six unions each.
-    union = _union
-    eid = 0
-    pairs = 0
-    for u in range(n):
-        lo, hi = dag_start[u], offsets[u + 1]
-        if lo >= hi:
-            continue
-        bu = out_bits[u]
-        u_base = u * n
-        for idx in range(lo, hi):
-            v = neighbors[idx]
-            uv_eid = eid
-            eid += 1
-            common = bu & out_bits[v]
-            pairs += 1
-            if common.bit_count() < 2:
-                continue
-            v_base = v * n
-            uv_parent, uv_size = parents[uv_eid], sizes[uv_eid]
-            w1_bits = common
-            while w1_bits:
-                low = w1_bits & -w1_bits
-                w1 = low.bit_length() - 1
-                w1_bits ^= low
-                inner = common & out_bits[w1]
-                if not inner:
-                    continue
-                w1_base = w1 * n
-                uw1 = eid_of[u_base + w1]
-                vw1 = eid_of[v_base + w1]
-                uw1_parent, uw1_size = parents[uw1], sizes[uw1]
-                vw1_parent, vw1_size = parents[vw1], sizes[vw1]
-                while inner:
-                    low2 = inner & -inner
-                    w2 = low2.bit_length() - 1
-                    inner ^= low2
-                    # 4-clique {u, v, w1, w2}: the six Union operations
-                    # of Observation 1, all keys pre-ordered by rank.
-                    union(uv_parent, uv_size, w1, w2)
-                    union(uw1_parent, uw1_size, v, w2)
-                    union(vw1_parent, vw1_size, u, w2)
-                    e = eid_of[u_base + w2]
-                    union(parents[e], sizes[e], v, w1)
-                    e = eid_of[v_base + w2]
-                    union(parents[e], sizes[e], u, w1)
-                    e = eid_of[w1_base + w2]
-                    union(parents[e], sizes[e], u, v)
-    KERNEL_COUNTERS.bitset_intersections += pairs
-    return edge_pairs, parents, sizes
+    return out

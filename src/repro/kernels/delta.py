@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterator, List, Tuple
 
 from repro.graph.graph import Graph
+from repro.kernels.components import flood_fill_groups
 from repro.kernels.counters import KERNEL_COUNTERS
 from repro.kernels.csr import CSRGraph
 
@@ -225,25 +226,7 @@ class MaintenanceKernel:
         component (the *groups*, not just their sizes -- the maintenance
         path installs them into ``M`` via ``replace_partition``).
         """
-        adj = self.adj
-        groups: List[int] = []
-        remaining = members
-        while remaining:
-            seed = remaining & -remaining
-            component = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                bits = frontier
-                while bits:
-                    low = bits & -bits
-                    grow |= adj[low.bit_length() - 1]
-                    bits ^= low
-                frontier = grow & remaining & ~component
-                component |= frontier
-            groups.append(component)
-            remaining &= ~component
-        return groups
+        return flood_fill_groups(self.adj, members)
 
     def labels_of_mask(self, mask: int) -> List[Hashable]:
         """Resolve a bitmask back to vertex labels (id order)."""

@@ -1,11 +1,11 @@
 """Snapshot encoding: one durable image of a :class:`DynamicESDIndex`.
 
-A snapshot stores exactly the state the dynamic index cannot cheaply
-recompute: the graph itself and the per-edge ego-network component
-*partitions* (the paper's ``M`` structures).  From those, the ESDIndex
-is bulk-loaded in ``O(α m log m)`` on restore -- skipping the 4-clique
-enumeration that dominates a cold build, which is the whole point of
-persisting (§IV: the index exists to amortize construction).
+A snapshot stores the graph and nothing derived from it.  The paper's
+``M`` structures are by definition the component partitions of the
+edge ego-networks ``G_N(uv)`` (§IV, Algorithm 3), so the graph alone
+fixes them: restoring derives ``M`` and the ESDIndex through the same
+build path as a cold start
+(:meth:`~repro.core.maintenance.DynamicESDIndex.from_state`).
 
 Container layout (see :mod:`repro.persistence.format` for framing):
 
@@ -14,10 +14,17 @@ Container layout (see :mod:`repro.persistence.format` for framing):
 ``VERT``  sorted vertex list (isolated vertices would be lost from the
           edge list alone)
 ``EDGE``  sorted canonical edge list, each ``[u, v]``
-``COMP``  per-edge component groups, aligned index-for-index with
-          ``EDGE``: entry *i* is a list of sorted member lists
-          partitioning ``N(u_i v_i)``
 =======  ==============================================================
+
+Earlier snapshots also carried a ``COMP`` section: every edge's
+component partition, aligned with ``EDGE``.  On dblp x4 it made the
+snapshot 4.5x larger (1.23 MB against 0.28 MB for the graph), and
+exporting plus encoding it took 134 ms against 19 ms, under the write
+lock of every compaction -- to save ~120 ms on a restore, which now
+derives the partitions by bitset flood fill like a cold build does
+(docs/PERSISTENCE.md has the measurements).  A ``COMP`` section in an
+older file is still CRC-checked by the container and then ignored, so
+existing data directories recover without a migration.
 
 Vertices must round-trip through JSON (ints / strings); this matches
 the service protocol's constraint, so anything servable is snapshotable.
@@ -53,7 +60,6 @@ def encode_snapshot(state: Dict[str, Any]) -> bytes:
             (b"STAT", encode_json(stat)),
             (b"VERT", encode_json(state["vertices"])),
             (b"EDGE", encode_json(state["edges"])),
-            (b"COMP", encode_json(state["components"])),
         ],
     )
 
@@ -75,24 +81,6 @@ def write_snapshot(path, state: Dict[str, Any], *, fsync: bool = True) -> int:
     return len(data)
 
 
-def csr_from_state(state: Dict[str, Any]):
-    """CSR snapshot of a decoded state, without materializing a ``Graph``.
-
-    The restore fast path for nodes that need an id-space view of the
-    snapshot -- a replica publishing the shared CSR segment, or a
-    restored index seeding its maintenance kernel: the state dict's
-    ``vertices``/``edges`` sections feed
-    :meth:`~repro.kernels.csr.CSRGraph.from_edgelist` directly.  The
-    result is identical to ``CSRGraph.from_graph`` on the restored
-    graph.
-    """
-    from repro.kernels.csr import CSRGraph
-
-    return CSRGraph.from_edgelist(
-        state["vertices"], (tuple(edge) for edge in state["edges"])
-    )
-
-
 def read_snapshot(path) -> Dict[str, Any]:
     """Read + validate a snapshot file; return the state dict."""
     with open(path, "rb") as handle:
@@ -104,7 +92,7 @@ def decode_snapshot(data: bytes, *, path=None) -> Dict[str, Any]:
     """Validate snapshot bytes (file or wire) and return the state dict.
 
     Beyond the framing checks, cross-validates the section contents
-    against each other (counts, alignment, canonical edge form) so a
+    against each other (counts, canonical edge form) so a
     *logically* inconsistent snapshot fails loudly here rather than as a
     mystery during replay.  The replication path
     (:mod:`repro.cluster.replication`) ships these same bytes to
@@ -115,7 +103,6 @@ def decode_snapshot(data: bytes, *, path=None) -> Dict[str, Any]:
     stat = json_section(sections, b"STAT", path)
     vertices = json_section(sections, b"VERT", path)
     edges = json_section(sections, b"EDGE", path)
-    components = json_section(sections, b"COMP", path)
 
     for field in ("graph_version", "insertions", "deletions", "n", "m"):
         if not isinstance(stat.get(field), int) or stat[field] < 0:
@@ -132,11 +119,6 @@ def decode_snapshot(data: bytes, *, path=None) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             "edge count mismatch", declared=stat["m"],
             actual=len(edges), path=str(path),
-        )
-    if len(components) != len(edges):
-        raise CorruptSnapshotError(
-            "COMP/EDGE misalignment", edges=len(edges),
-            components=len(components), path=str(path),
         )
     vertex_set = set(vertices)
     for i, pair in enumerate(edges):
@@ -156,5 +138,4 @@ def decode_snapshot(data: bytes, *, path=None) -> Dict[str, Any]:
         "deletions": stat["deletions"],
         "vertices": vertices,
         "edges": [tuple(pair) for pair in edges],
-        "components": components,
     }

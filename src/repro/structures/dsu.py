@@ -263,10 +263,25 @@ class EdgeComponentSets:
         dsu._size = size
         dsu._count = count
 
+    @classmethod
+    def adopt(
+        cls, parent: Dict[Hashable, Hashable], size: Dict[Hashable, int]
+    ) -> "EdgeComponentSets":
+        """Wrap raw union-find dicts (taken over, not copied).
+
+        ``parent`` maps every member to a member of its component on the
+        way to the root; ``size`` maps each root to its component size.
+        """
+        dsu = DisjointSet.__new__(DisjointSet)
+        dsu._parent = parent
+        dsu._size = size
+        dsu._count = len(size)
+        m = cls.__new__(cls)
+        m._dsu = dsu
+        return m
+
     def copy(self) -> "EdgeComponentSets":
         """Independent deep copy of the structure."""
-        clone = EdgeComponentSets()
-        clone._dsu._parent = dict(self._dsu._parent)
-        clone._dsu._size = dict(self._dsu._size)
-        clone._dsu._count = self._dsu._count
-        return clone
+        return EdgeComponentSets.adopt(
+            dict(self._dsu._parent), dict(self._dsu._size)
+        )

@@ -297,16 +297,3 @@ class TestFromEdgelist:
         assert b.n == 5 and b.m == 2
         assert list(a.offsets) == list(b.offsets)
         assert a.interner.labels == b.interner.labels
-
-    def test_csr_from_state_round_trip(self):
-        from repro.core.maintenance import DynamicESDIndex
-        from repro.persistence.snapshot import csr_from_state
-
-        g = erdos_renyi(30, 0.2, seed=10)
-        g.add_vertex(500)  # exported state must carry the isolate too
-        state = DynamicESDIndex(g).export_state()
-        restored = csr_from_state(state)
-        direct = CSRGraph.from_graph(g)
-        assert list(restored.offsets) == list(direct.offsets)
-        assert list(restored.neighbors) == list(direct.neighbors)
-        assert restored.interner.labels == direct.interner.labels

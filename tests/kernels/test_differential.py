@@ -107,8 +107,11 @@ def _observe(graph: Graph) -> Dict[str, object]:
             c: index.class_list(c) for c in index.size_classes
         }
     _index, components = build_index_fast_with_components(graph)
+    # Maintenance depends on exact membership, not just sizes: the csr
+    # route derives M by flood fill, the set route by 4-clique unions.
     obs["m_structures"] = {
-        edge: sorted(m.component_sizes()) for edge, m in components.items()
+        edge: sorted(sorted(g) for g in m.groups().values())
+        for edge, m in components.items()
     }
     for k, tau in QUERY_PAIRS:
         results, stats = topk_online(graph, k, tau, with_stats=True)

@@ -6,7 +6,10 @@ regenerates them and compares byte-for-byte: any change to the framing,
 the canonical JSON encoding, the section layout, or the CRC algorithm
 shows up as a diff and must be shipped with a format-version bump and
 regenerated fixtures (run this module: ``python -m
-tests.persistence.golden_fixture``).
+tests.persistence.golden_fixture``).  The one exception is dropping a
+section the reader still accepts and ignores: ``snapshot_v1_comp.esd``
+pins the earlier layout, which also carried every edge's component
+partition in a ``COMP`` section, and must keep recovering.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from repro.persistence.wal import WALRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SNAPSHOT_FILE = os.path.join(GOLDEN_DIR, "snapshot.esd")
+#: The same state in the earlier layout (with ``COMP``); never regenerated.
+LEGACY_SNAPSHOT_FILE = os.path.join(GOLDEN_DIR, "snapshot_v1_comp.esd")
 WAL_FILE = os.path.join(GOLDEN_DIR, "wal.log")
 
 #: The fixture graph: a 4-clique on {0,1,2,3} plus pendant edge (3, 4).

@@ -409,26 +409,52 @@ class TestFsckReportPaths:
         assert not report.ok
         assert any(i.code == "replay_failed" for i in report.errors)
 
-    def test_deep_invariant_violation_reported(self, tmp_path):
-        """A snapshot whose stored partitions disagree with its own graph
-        must be caught by the deep check, not served."""
-        # K4: edge (0,1) sees the adjacent pair {2,3} as one component.
+    @staticmethod
+    def _k4_data_dir(tmp_path):
+        os.makedirs(tmp_path / "d")
         dyn = DynamicESDIndex(
             Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         )
-        state = dyn.export_state()
-        for i, comps in enumerate(state["components"]):
-            if any(len(group) >= 2 for group in comps):
-                state["components"][i] = [
-                    [w] for group in comps for w in group
-                ]
-                break
-        else:
-            pytest.fail("fixture graph has no multi-member component")
-        os.makedirs(tmp_path / "d")
-        write_snapshot(tmp_path / "d" / "snapshot.esd", state, fsync=False)
+        write_snapshot(
+            tmp_path / "d" / "snapshot.esd", dyn.export_state(), fsync=False
+        )
         WriteAheadLog(tmp_path / "d" / "wal.log", fsync=False).close()
-        report = fsck_data_dir(str(tmp_path / "d"), deep=True)
+        return str(tmp_path / "d")
+
+    @staticmethod
+    def _split_one_partition(monkeypatch):
+        """Make the restore derive one wrong ``M``: the first multi-member
+        component is split into singletons, and the index is loaded from
+        the wrong sizes.  A snapshot holds only the graph, so this is the
+        one way a restore can disagree with its own graph."""
+        from repro.core import maintenance
+        from repro.core.build import index_from_sizes
+        from repro.structures.dsu import EdgeComponentSets
+
+        derive = maintenance.build_index_fast_with_components
+
+        def split(graph):
+            _index, components = derive(graph)
+            for edge, m in components.items():
+                if any(len(group) >= 2 for group in m.groups().values()):
+                    components[edge] = EdgeComponentSets(m.members())
+                    break
+            else:
+                pytest.fail("fixture graph has no multi-member component")
+            sizes = {e: m.component_sizes() for e, m in components.items()}
+            return index_from_sizes(sizes), components
+
+        monkeypatch.setattr(
+            maintenance, "build_index_fast_with_components", split
+        )
+
+    def test_deep_invariant_violation_reported(self, tmp_path, monkeypatch):
+        """A restore whose derived partitions disagree with its own graph
+        must be caught by the deep check, not served."""
+        # K4: edge (0,1) sees the adjacent pair {2,3} as one component.
+        path = self._k4_data_dir(tmp_path)
+        self._split_one_partition(monkeypatch)
+        report = fsck_data_dir(path, deep=True)
         assert not report.ok
         assert any(
             i.code == "invariant_violation" for i in report.errors
@@ -437,24 +463,13 @@ class TestFsckReportPaths:
     def test_deep_topk_mismatch_is_last_line_of_defense(
         self, tmp_path, monkeypatch
     ):
-        """With invariant checking disabled, a wrong-partition snapshot
+        """With invariant checking disabled, a wrong-partition restore
         must still fail the top-k comparison against a fresh rebuild."""
         monkeypatch.setattr(
             DynamicESDIndex, "check_invariants", lambda self: None
         )
-        dyn = DynamicESDIndex(
-            Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        )
-        state = dyn.export_state()
-        for i, comps in enumerate(state["components"]):
-            if any(len(group) >= 2 for group in comps):
-                state["components"][i] = [
-                    [w] for group in comps for w in group
-                ]
-                break
-        os.makedirs(tmp_path / "d")
-        write_snapshot(tmp_path / "d" / "snapshot.esd", state, fsync=False)
-        WriteAheadLog(tmp_path / "d" / "wal.log", fsync=False).close()
-        report = fsck_data_dir(str(tmp_path / "d"), deep=True)
+        path = self._k4_data_dir(tmp_path)
+        self._split_one_partition(monkeypatch)
+        report = fsck_data_dir(path, deep=True)
         assert not report.ok
         assert any(i.code == "topk_mismatch" for i in report.errors)

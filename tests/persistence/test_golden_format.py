@@ -7,18 +7,21 @@ fail, the format changed: that is only allowed together with an explicit
 fixtures (``python -m tests.persistence.golden_fixture``).
 """
 
+import shutil
 import struct
 import zlib
 
 from repro.core.maintenance import DynamicESDIndex
 from repro.persistence import format as container
 from repro.persistence import wal as wal_format
+from repro.persistence import DataDirectory, fsck_data_dir
 from repro.persistence.snapshot import read_snapshot
 from repro.persistence.wal import scan_wal
 
 from tests.persistence.golden_fixture import (
     GOLDEN_EDGES,
     GOLDEN_RECORDS,
+    LEGACY_SNAPSHOT_FILE,
     SNAPSHOT_FILE,
     WAL_FILE,
     make_golden_bytes,
@@ -58,10 +61,10 @@ def test_header_constants_pinned():
         assert handle.read(12) == b"ESDWALOG" + struct.pack(">I", 1)
 
 
-def test_golden_section_checksums_verify():
-    """Walk the committed snapshot's framing by hand and verify every
-    section CRC against an independent zlib.crc32 computation."""
-    with open(SNAPSHOT_FILE, "rb") as handle:
+def _verified_section_tags(path):
+    """Walk a committed snapshot's framing by hand, verify every section
+    CRC against an independent zlib.crc32 computation, return the tags."""
+    with open(path, "rb") as handle:
         data = handle.read()
     offset = 12
     seen = []
@@ -72,7 +75,19 @@ def test_golden_section_checksums_verify():
         assert zlib.crc32(payload) & 0xFFFFFFFF == crc
         seen.append(tag)
         offset += 16 + length
-    assert seen == [b"META", b"STAT", b"VERT", b"EDGE", b"COMP"]
+    return seen
+
+
+def test_golden_section_checksums_verify():
+    assert _verified_section_tags(SNAPSHOT_FILE) == [
+        b"META", b"STAT", b"VERT", b"EDGE"
+    ]
+
+
+def test_legacy_golden_section_checksums_verify():
+    assert _verified_section_tags(LEGACY_SNAPSHOT_FILE) == [
+        b"META", b"STAT", b"VERT", b"EDGE", b"COMP"
+    ]
 
 
 def test_golden_snapshot_loads_and_answers():
@@ -100,3 +115,25 @@ def test_golden_wal_replays_onto_snapshot():
     assert (replayed, skipped) == (2, 0)
     assert dyn.graph.has_edge(2, 4) and not dyn.graph.has_edge(0, 3)
     dyn.check_invariants()
+
+
+def _recover(tmp_path, name, snapshot_file):
+    data_dir = tmp_path / name
+    data_dir.mkdir()
+    shutil.copyfile(snapshot_file, data_dir / "snapshot.esd")
+    shutil.copyfile(WAL_FILE, data_dir / "wal.log")
+    report = fsck_data_dir(str(data_dir), deep=True)
+    assert report.ok and report.deep_checked, report.render()
+    dyn, _ = DataDirectory(str(data_dir), fsync=False).open()
+    return dyn
+
+
+def test_legacy_comp_snapshot_recovers_like_current(tmp_path):
+    """A data directory written before snapshots dropped ``COMP`` passes
+    ``fsck --deep`` and recovers to the same state and answers."""
+    current = _recover(tmp_path, "current", SNAPSHOT_FILE)
+    legacy = _recover(tmp_path, "legacy", LEGACY_SNAPSHOT_FILE)
+    legacy.check_invariants()
+    assert legacy.export_state() == current.export_state()
+    for k, tau in ((1, 1), (5, 1), (5, 2), (10, 3)):
+        assert legacy.topk(k, tau) == current.topk(k, tau)

@@ -115,15 +115,6 @@ class TestValidation:
             read_snapshot(path)
         assert "canonical" in info.value.message
 
-    def test_comp_misalignment_rejected(self, tmp_path):
-        state = self._state()
-        state["components"] = state["components"][:-1]
-        path = tmp_path / "bad.esd"
-        write_snapshot(path, state, fsync=False)
-        with pytest.raises(CorruptSnapshotError) as info:
-            read_snapshot(path)
-        assert "misalignment" in info.value.message
-
     def test_negative_version_rejected(self, tmp_path):
         state = self._state()
         state["graph_version"] = -1

@@ -154,11 +154,11 @@ class TestCorruption:
         store, engine = _run_engine(str(tmp_path), mutations=2)
         store.close()
         corrupt_snapshot_section(
-            os.path.join(str(tmp_path), SNAPSHOT_NAME), b"COMP"
+            os.path.join(str(tmp_path), SNAPSHOT_NAME), b"EDGE"
         )
         with pytest.raises(CorruptSnapshotError) as info:
             DataDirectory(str(tmp_path), fsync=False).open()
-        assert info.value.details["section"] == "COMP"
+        assert info.value.details["section"] == "EDGE"
         report = fsck_data_dir(str(tmp_path))
         assert not report.ok
         assert any(i.code == "corrupt_snapshot" for i in report.errors)

@@ -167,14 +167,23 @@ class TestProfile:
 
 
 class TestBench:
-    def test_table1(self, capsys):
+    @pytest.fixture(autouse=True)
+    def _results_in_tmp(self, monkeypatch, tmp_path):
+        """Keep the committed benchmarks/results/ untouched."""
+        from repro.bench import harness
+
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+
+    def test_table1(self, capsys, tmp_path):
         assert main(["bench", "table1", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "youtube" in out
+        assert (tmp_path / "table1.json").exists()
 
-    def test_fig13(self, capsys):
+    def test_fig13(self, capsys, tmp_path):
         assert main(["bench", "fig13"]) == 0
+        assert (tmp_path / "fig13.json").exists()
         assert "bank" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):
