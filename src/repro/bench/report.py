@@ -2,7 +2,9 @@
 
 Run ``python -m repro.bench.report`` after ``pytest benchmarks/
 --benchmark-only`` to regenerate EXPERIMENTS.md with the measured tables
-plus the paper-vs-measured commentary.
+plus the paper-vs-measured commentary.  A section whose result file is
+absent is left out, so the committed EXPERIMENTS.md is exactly what the
+committed ``benchmarks/results/`` renders to.
 """
 
 from __future__ import annotations
@@ -97,19 +99,14 @@ def build_experiments_md(output: Optional[Path] = None) -> Path:
     lines = [HEADER]
     missing = []
     for name, heading, claim in SECTIONS:
+        record = load_results(name)
+        if record is None:
+            missing.append(name)
+            continue
         lines.append(f"## {heading}")
         lines.append("")
         lines.append(f"**Paper:** {claim}")
         lines.append("")
-        record = load_results(name)
-        if record is None:
-            missing.append(name)
-            lines.append(
-                "_No measured results yet — run `pytest benchmarks/ "
-                "--benchmark-only` first._"
-            )
-            lines.append("")
-            continue
         lines.append("**Measured:**")
         lines.append("")
         for table in record["tables"]:
@@ -117,8 +114,8 @@ def build_experiments_md(output: Optional[Path] = None) -> Path:
             lines.append("")
     output.write_text("\n".join(lines), encoding="utf-8")
     if missing:
-        print(f"EXPERIMENTS.md written with {len(missing)} missing sections: "
-              f"{', '.join(missing)}")
+        print(f"EXPERIMENTS.md written without {len(missing)} sections "
+              f"that have no saved results: {', '.join(missing)}")
     else:
         print(f"EXPERIMENTS.md written: {output}")
     return output

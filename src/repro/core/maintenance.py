@@ -10,13 +10,16 @@ changes the structural diversities of edges inside the closed ego-network
 ``Ĝ_N(uv)`` -- the edge itself, the triangle edges ``(u, w)``/``(v, w)``
 for common neighbors ``w``, and the ego-edges ``(w1, w2)`` inside
 ``N(uv)``.  Everything else is untouched, which is why updates are cheap
-relative to reconstruction (Fig. 11).
+relative to reconstruction (Fig. 11).  The kernel route narrows this
+further: an ego edge whose ego-network holds a common neighbour of ``u``
+and ``v`` cannot change either (docs/ALGORITHMS.md §V-A), so only the
+ego edges without such a witness are repaired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, List, Set, Tuple
 
 from repro.core.build import build_index_fast_with_components
 from repro.core.index import ESDIndex
@@ -29,7 +32,15 @@ from repro.structures.dsu import EdgeComponentSets
 
 @dataclass
 class UpdateStats:
-    """Instrumentation for one insert/delete: how local was the update?"""
+    """Instrumentation for one insert/delete: how local was the update?
+
+    ``common_neighbors`` is ``|N(uv)|``, ``ego_edges`` the number of
+    edges inside ``N(uv)``, and ``edges_rescored`` the number of edges
+    of the closed ego-network ``Ĝ_N(uv)`` whose index entry is current
+    after the update (the deleted edge itself excluded).  That includes
+    ego edges the kernel route certifies as unchanged without calling
+    ``set_edge``, so the count is the same on both routes.
+    """
 
     common_neighbors: int = 0
     ego_edges: int = 0
@@ -46,9 +57,11 @@ class MutationCounters:
 
     insertions: int = 0
     deletions: int = 0
-    #: Cumulative index-entry refreshes across all updates -- the
-    #: core-layer cost counter surfaced by the unified metrics registry
-    #: (not persisted: a restored index restarts it at 0).
+    #: Sum of :attr:`UpdateStats.edges_rescored` over all updates: the
+    #: closed ego-network edges each write brought up to date, certified
+    #: ones included -- the core-layer cost counter surfaced by the
+    #: unified metrics registry (not persisted: a restored index
+    #: restarts it at 0).
     edges_rescored: int = 0
 
     @property
@@ -268,8 +281,9 @@ class DynamicESDIndex:
     ) -> UpdateStats:
         """Algorithm 4 on the id-space mirror (bit-identical results).
 
-        The union-find surgery is exactly the set path's; the kernel
-        replaces the *enumeration*: the common neighborhood is one AND,
+        The union-find surgery is the set path's minus the no-op
+        ``union(u, v)`` of certified ego edges; the kernel replaces the
+        *enumeration*: the common neighborhood is one AND,
         ego edges come from a single bit scan (the set path walks the
         neighbor sets twice -- once for the unions, once for the
         affected-edge set), the new edge's partition is one flood fill
@@ -309,19 +323,27 @@ class DynamicESDIndex:
 
         # Lines 10-19: the five remaining Unions per ego edge (the sixth,
         # m_new's own, is subsumed by the flood-fill partition above).
+        # A certified pair (a witness x in N(uv) ∩ N(w1 w2)) already has
+        # u and v joined through u-x-v in M_{w1 w2}: its Union would be
+        # a no-op and its index entry is unchanged, so both are skipped.
         pairs = kernel.ego_pairs(common)
         stats.ego_edges = len(pairs)
+        adj = kernel.adj
+        certified = 0
         for w1, w2 in pairs:
             l1, l2 = labels[w1], labels[w2]
-            ego_edge = (l1, l2) if l1 < l2 else (l2, l1)
-            affected.append(ego_edge)
-            components[ego_edge].union(u, v)
             m_uw[w1].union(v, l2)
             m_vw[w1].union(u, l2)
             m_uw[w2].union(v, l1)
             m_vw[w2].union(u, l1)
+            if common & adj[w1] & adj[w2]:
+                certified += 1
+                continue
+            ego_edge = (l1, l2) if l1 < l2 else (l2, l1)
+            affected.append(ego_edge)
+            components[ego_edge].union(u, v)
 
-        self._rescore(affected, stats)
+        self._rescore(affected, stats, certified)
         self._committed("insert", edge)
         return stats
 
@@ -387,11 +409,11 @@ class DynamicESDIndex:
     ) -> UpdateStats:
         """Algorithm 5 on the id-space mirror (bit-identical results).
 
-        Same union-find surgery as the set path; the kernel supplies the
-        enumeration.  The common neighborhood of ``(u, v)`` is unchanged
-        by removing the ``u <-> v`` bits themselves (neither endpoint
-        can be its own common neighbor), so it is read off *after* the
-        mirror update.
+        Same repair as the set path, minus the refloods of certified
+        ego edges; the kernel supplies the enumeration.  The common
+        neighborhood of ``(u, v)`` is unchanged by removing the
+        ``u <-> v`` bits themselves (neither endpoint can be its own
+        common neighbor), so it is read off *after* the mirror update.
         """
         self._graph.remove_edge(u, v)
         iu, iv = kernel.note_delete(u, v, self._graph.revision)
@@ -430,17 +452,25 @@ class DynamicESDIndex:
             affected.append(e_uw)
             affected.append(e_vw)
 
-        # Lines 10-18: u and v may fall apart in each M_{w1 w2}.  The bit
-        # scan yields each ego edge exactly once, so no dedup set.
+        # Lines 10-18: u and v may fall apart in each M_{w1 w2} -- unless
+        # the pair is certified: a witness x in N(uv) ∩ N(w1 w2) keeps
+        # the path u-x-v inside G_N(w1 w2), so M_{w1 w2} and its index
+        # entry are unchanged and neither is touched.  The bit scan
+        # yields each ego edge exactly once, so no dedup set.
         pairs = kernel.ego_pairs(common)
         stats.ego_edges = len(pairs)
+        adj = kernel.adj
+        certified = 0
         for w1, w2 in pairs:
+            if common & adj[w1] & adj[w2]:
+                certified += 1
+                continue
             l1, l2 = labels[w1], labels[w2]
             ego_edge = (l1, l2) if l1 < l2 else (l2, l1)
             affected.append(ego_edge)
             reflood(components[ego_edge], w1, w2)
 
-        self._rescore(affected, stats)
+        self._rescore(affected, stats, certified)
         self._index.remove_edge(edge)
         del self._components[edge]
         self._committed("delete", edge)
@@ -630,16 +660,26 @@ class DynamicESDIndex:
             affected.add(canonical_edge(w1, w2))
         return affected
 
-    def _rescore(self, edges: Iterable[Edge], stats: UpdateStats) -> None:
-        """Push the current M component sizes of ``edges`` into the index."""
+    def _rescore(
+        self, edges: Collection[Edge], stats: UpdateStats, certified: int = 0
+    ) -> None:
+        """Push the current M component sizes of ``edges`` into the index.
+
+        ``certified`` counts further edges of ``Ĝ_N(uv)`` whose ``M`` is
+        proven unchanged: they are counted as rescored (their entry is
+        up to date) without touching the index.
+        """
+        index = self._index
+        components = self._components
         for e in edges:
-            sizes = self._components[e].component_sizes()
+            sizes = components[e].component_sizes()
             if sizes:
-                self._index.set_edge(e, sizes)
+                index.set_edge(e, sizes)
             else:
-                self._index.remove_edge(e)
-            stats.edges_rescored += 1
-            self._mutations.edges_rescored += 1
+                index.remove_edge(e)
+        rescored = len(edges) + certified
+        stats.edges_rescored += rescored
+        self._mutations.edges_rescored += rescored
 
     def _remove_member(self, edge: Edge, leaver: Vertex) -> None:
         """Remove ``leaver`` from ``M_edge``, re-partitioning if needed."""

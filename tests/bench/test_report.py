@@ -25,11 +25,17 @@ def _sample_table() -> ExperimentTable:
 
 class TestBuildExperimentsMd:
     def test_missing_results_noted(self, results_dir, tmp_path, capsys):
+        # A section without a saved record is left out of the document
+        # and named on stdout instead.
+        save_tables("fig5", [_sample_table()])
         out = tmp_path / "EXPERIMENTS.md"
         report.build_experiments_md(out)
         text = out.read_text()
-        assert "No measured results yet" in text
-        assert "missing sections" in capsys.readouterr().out
+        headings = [line for line in text.splitlines() if line.startswith("## ")]
+        assert headings == ["## Exp-1 / Fig. 5 — OnlineBFS vs OnlineBFS+"]
+        printed = capsys.readouterr().out
+        assert "without 13 sections" in printed
+        assert "fig6" in printed and "service" in printed
 
     def test_tables_rendered(self, results_dir, tmp_path):
         save_tables("fig5", [_sample_table()])
@@ -41,6 +47,8 @@ class TestBuildExperimentsMd:
         assert "*hello*" in text
 
     def test_every_section_has_paper_claim(self, results_dir, tmp_path):
+        for name, _heading, _claim in report.SECTIONS:
+            save_tables(name, [_sample_table()])
         out = tmp_path / "EXPERIMENTS.md"
         report.build_experiments_md(out)
         text = out.read_text()
@@ -76,3 +84,10 @@ class TestBuildExperimentsMd:
                     emitted.add(line.split('emit(tables, "')[1].split('"')[0])
         section_names = {name for name, _h, _c in report.SECTIONS}
         assert emitted <= section_names
+
+
+def test_committed_results_render_to_experiments_md(tmp_path):
+    """EXPERIMENTS.md is exactly what ``benchmarks/results/`` renders to."""
+    out = report.build_experiments_md(tmp_path / "EXPERIMENTS.md")
+    committed = harness.RESULTS_DIR.parents[1] / "EXPERIMENTS.md"
+    assert out.read_bytes() == committed.read_bytes()

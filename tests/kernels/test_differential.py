@@ -40,6 +40,8 @@ from repro.core.online import topk_online
 from repro.graph.graph import Graph
 from repro.kernels.dispatch import use_kernels
 
+from tests.shrink import shrink
+
 LabelEdge = Tuple[str, str]
 
 #: ``(k, τ)`` pairs every trial queries in both modes.
@@ -146,26 +148,11 @@ def check_case(case: Case) -> Optional[str]:
 
 def shrink_case(case: Case, *, max_attempts: int = 200) -> Case:
     """Delta-debug the edge list down to a minimal still-failing case."""
-    attempts = 0
 
     def still_fails(edges: List[LabelEdge]) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
         return check_case(Case(seed=case.seed, edges=edges)) is not None
 
-    edges = list(case.edges)
-    chunk = max(1, len(edges) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(edges):
-            candidate = edges[:i] + edges[i + chunk :]
-            if candidate != edges and still_fails(candidate):
-                edges = candidate  # keep the removal, retry same position
-            else:
-                i += chunk
-        chunk //= 2
+    edges = shrink(case.edges, still_fails, max_attempts=max_attempts)
     return Case(seed=case.seed, edges=edges)
 
 

@@ -29,6 +29,9 @@ from repro.loadgen.analysis import Slo, capacity_sweep, coordinated_omission_gap
 from repro.loadgen.driver import OpRecord, Reservoir
 from repro.service.metrics import percentile
 
+from tests.shrink import shrink
+
+
 RESERVOIR_CAPACITY = 512
 FRACTIONS = (0.50, 0.95, 0.99, 0.999)
 
@@ -126,27 +129,12 @@ def check_case(case: Case) -> Optional[str]:
 
 def shrink_case(case: Case, max_attempts: int = 300) -> Case:
     """Delta-debug the sample list to a minimal still-failing case."""
-    attempts = 0
 
     def still_fails(samples: List[float]) -> bool:
-        nonlocal attempts
-        if not samples or attempts >= max_attempts:
-            return False
-        attempts += 1
         candidate = Case(case.seed, case.distribution, samples)
-        return check_case(candidate) is not None
+        return bool(samples) and check_case(candidate) is not None
 
-    samples = list(case.samples)
-    chunk = max(1, len(samples) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(samples):
-            candidate = samples[:i] + samples[i + chunk:]
-            if candidate != samples and still_fails(candidate):
-                samples = candidate
-            else:
-                i += chunk
-        chunk //= 2
+    samples = shrink(case.samples, still_fails, max_attempts=max_attempts)
     return Case(case.seed, case.distribution, samples)
 
 

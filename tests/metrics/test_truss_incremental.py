@@ -26,6 +26,8 @@ from repro.kernels.counters import KERNEL_COUNTERS
 from repro.kernels.dispatch import use_kernels
 from repro.metrics import TrussScorer
 
+from tests.shrink import shrink
+
 Op = Tuple  # ("+e", u, v) | ("-e", u, v) | ("-v", u)
 
 NUM_TRIALS = 20
@@ -110,29 +112,14 @@ def check_case(case: Case) -> Optional[str]:
 
 def shrink_case(case: Case, *, max_attempts: int = 200) -> Case:
     """Delta-debug the op trace down to a minimal still-failing case."""
-    attempts = 0
 
     def still_fails(ops: List[Op]) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
         return (
             check_case(Case(seed=case.seed, edges=case.edges, ops=ops))
             is not None
         )
 
-    ops = list(case.ops)
-    chunk = max(1, len(ops) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(ops):
-            candidate = ops[:i] + ops[i + chunk :]
-            if candidate != ops and still_fails(candidate):
-                ops = candidate
-            else:
-                i += chunk
-        chunk //= 2
+    ops = shrink(case.ops, still_fails, max_attempts=max_attempts)
     return Case(seed=case.seed, edges=case.edges, ops=ops)
 
 

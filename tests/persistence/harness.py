@@ -32,6 +32,9 @@ from repro.graph.graph import canonical_edge
 from repro.persistence.store import DataDirectory
 from repro.service.engine import QueryEngine
 
+from tests.shrink import shrink
+
+
 Op = Tuple[str, int, int]  # ("insert"|"delete", u, v)
 
 #: ``(k, τ)`` pairs every trial is checked against.
@@ -166,10 +169,9 @@ def check_case(case: Case, tmp_dir, *, snapshot_interval: int = 4) -> Optional[s
 def shrink_case(case: Case, make_dir, *, max_attempts: int = 200, check=None) -> Case:
     """Delta-debug the op stream down to a minimal still-failing case.
 
-    ``make_dir()`` must return a fresh empty directory per attempt.
-    Tries removing chunks at halving granularity, then single ops; stops
-    when no single removal reproduces the failure (1-minimal) or after
-    ``max_attempts`` runs.  ``check`` is the failure oracle --
+    ``make_dir()`` must return a fresh empty directory per attempt; the
+    list surgery is :func:`tests.shrink.shrink`.  ``check`` is the
+    failure oracle --
     ``check(case, dir) -> Optional[str]``, defaulting to
     :func:`check_case` (resolved at call time) -- so other differential
     harnesses (e.g. the cluster replication test) reuse this shrinking
@@ -177,25 +179,10 @@ def shrink_case(case: Case, make_dir, *, max_attempts: int = 200, check=None) ->
     """
     if check is None:
         check = check_case
-    attempts = 0
 
     def still_fails(ops: List[Op]) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
         candidate = Case(seed=case.seed, n=case.n, m=case.m, ops=ops)
         return check(candidate, make_dir()) is not None
 
-    ops = list(case.ops)
-    chunk = max(1, len(ops) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(ops):
-            candidate = ops[:i] + ops[i + chunk :]
-            if candidate != ops and still_fails(candidate):
-                ops = candidate  # keep the removal, retry same position
-            else:
-                i += chunk
-        chunk //= 2
+    ops = shrink(case.ops, still_fails, max_attempts=max_attempts)
     return Case(seed=case.seed, n=case.n, m=case.m, ops=ops)
