@@ -274,7 +274,6 @@ def _cmd_cluster_replica(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             name=args.name,
-            shm_namespace=args.shm_namespace,
         )
     )
     host, port = replica.address
@@ -731,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_replica.add_argument("--writer-host", required=True)
     pc_replica.add_argument("--writer-repl-port", type=int, required=True)
-    pc_replica.add_argument(
-        "--shm-namespace", default="",
-        help="shared-memory namespace for snapshot CSR segments "
-        "(empty = per-process kernels, no sharing)",
-    )
     pc_replica.set_defaults(func=_cmd_cluster_replica)
 
     p_profile = sub.add_parser(

@@ -27,8 +27,12 @@ Concepts
 
 Back-pressure and hygiene: a line that exceeds ``max_line_bytes``
 closes the connection (after an optional canned response) instead of
-buffering without bound; accepted connections idle longer than their
-listener's ``idle_timeout`` are closed by the tick sweep.
+buffering without bound; an accepted connection whose ``outbuf`` holds
+more than ``OUTBUF_LIMIT`` bytes is neither read nor dispatched until
+its peer drains it below that again (outbound channels are exempt:
+pausing both ends of a router-replica link could deadlock it);
+accepted connections idle longer than their listener's
+``idle_timeout`` are closed by the tick sweep.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ __all__ = ["Channel", "EventLoop", "Listener"]
 #: Bytes read per readable event.
 _RECV_CHUNK = 1 << 16
 
+#: Reply bytes an accepted channel may queue before it stops reading:
+#: a peer that pipelines requests but never reads is held to this much
+#: server memory (plus one reply) instead of all its answers.
+OUTBUF_LIMIT = 1 << 20
+
 #: Callback invoked per complete request line: ``(channel, line)``.
 LineHandler = Callable[["Channel", bytes], None]
 #: Callback invoked once when a channel dies: ``(channel,)``.
@@ -56,7 +65,7 @@ class Channel:
     __slots__ = (
         "sock", "addr", "on_line", "on_close", "inbuf", "outbuf",
         "last_activity", "closing", "closed", "idle_timeout", "attrs",
-        "_loop",
+        "inbound", "_loop",
     )
 
     def __init__(
@@ -67,6 +76,7 @@ class Channel:
         on_line: LineHandler,
         on_close: Optional[CloseHandler],
         idle_timeout: Optional[float],
+        inbound: bool = False,
     ) -> None:
         self._loop = loop
         self.sock = sock
@@ -82,6 +92,13 @@ class Channel:
         #: Free-form per-connection state for the dispatch layer (the
         #: router keeps its read-your-writes version token here).
         self.attrs: Dict[str, Any] = {}
+        #: Accepted (client) connection, as opposed to an outbound link.
+        self.inbound = inbound
+
+    @property
+    def backlogged(self) -> bool:
+        """Whether reading is paused until the peer drains ``outbuf``."""
+        return self.inbound and len(self.outbuf) > OUTBUF_LIMIT
 
     def send_bytes(self, data: bytes) -> None:
         """Queue ``data`` for writing (loop thread only)."""
@@ -281,7 +298,7 @@ class EventLoop:
         sock.setblocking(False)
         channel = Channel(
             self, sock, addr, listener.on_line, listener.on_close,
-            listener.idle_timeout,
+            listener.idle_timeout, inbound=True,
         )
         self._selector.register(sock, selectors.EVENT_READ, channel)
         self._channels.append(channel)
@@ -290,7 +307,7 @@ class EventLoop:
     def _interest(self, channel: Channel, *, write: bool) -> None:
         if channel.closed:
             return
-        events = selectors.EVENT_READ
+        events = 0 if channel.backlogged else selectors.EVENT_READ
         if write or channel.outbuf:
             events |= selectors.EVENT_WRITE
         try:
@@ -320,18 +337,10 @@ class EventLoop:
         channel.last_activity = time.monotonic()
         channel.inbuf += data
         self.stats["bytes_in"] += len(data)
-        while not channel.closed and not channel.closing:
-            newline = channel.inbuf.find(b"\n")
-            if newline < 0:
-                break
-            line = bytes(channel.inbuf[:newline]).strip()
-            del channel.inbuf[: newline + 1]
-            if not line:
-                continue
-            self.stats["lines"] += 1
-            channel.on_line(channel, line)
+        self._dispatch_lines(channel)
         if (
             not channel.closed
+            and not channel.backlogged
             and len(channel.inbuf) > self._max_line_bytes
         ):
             # A "line" that big cannot be a legal request: answer with
@@ -344,8 +353,29 @@ class EventLoop:
             else:
                 self._close_channel(channel)
 
+    def _dispatch_lines(self, channel: Channel) -> None:
+        """Hand each complete line in ``inbuf`` to the channel's handler.
+
+        Stops early while the channel is backlogged; the lines left in
+        ``inbuf`` are dispatched once :meth:`_writable` drains it.
+        """
+        while not channel.closed and not channel.closing:
+            if channel.backlogged:
+                self._interest(channel, write=True)  # stop reading
+                return
+            newline = channel.inbuf.find(b"\n")
+            if newline < 0:
+                return
+            line = bytes(channel.inbuf[:newline]).strip()
+            del channel.inbuf[: newline + 1]
+            if not line:
+                continue
+            self.stats["lines"] += 1
+            channel.on_line(channel, line)
+
     def _writable(self, channel: Channel) -> None:
         if channel.outbuf:
+            backlogged = channel.backlogged
             try:
                 sent = channel.sock.send(channel.outbuf)
             except (BlockingIOError, InterruptedError):
@@ -356,6 +386,13 @@ class EventLoop:
             del channel.outbuf[:sent]
             self.stats["bytes_out"] += sent
             channel.last_activity = time.monotonic()
+            if backlogged and not channel.backlogged:
+                # Drained below the limit: run the lines held back, then
+                # read again unless they filled outbuf once more.
+                self._dispatch_lines(channel)
+                if channel.closed:
+                    return
+                self._interest(channel, write=True)
         if not channel.outbuf:
             if channel.closing:
                 self._close_channel(channel)

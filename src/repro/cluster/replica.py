@@ -58,12 +58,6 @@ class ReplicaConfig:
     cache_size: int = 1024  #: LRU result-cache capacity (version-keyed)
     idle_timeout: float = 300.0  #: seconds before an idle client is dropped
     reconnect_backoff: float = 0.2
-    #: Shared-memory namespace for snapshot CSR segments (empty =
-    #: per-replica private kernels, no shared segments).  All replicas
-    #: of one cluster get the same namespace from the supervisor: the
-    #: first to install snapshot version ``v`` publishes
-    #: ``<namespace>-v<v>`` and the rest map it read-only.
-    shm_namespace: str = ""
 
 
 class ReplicaNode:
@@ -113,7 +107,6 @@ class ReplicaNode:
         for op in MUTATING_OPS:
             self._ops[op] = self._read_only
         self._ops["cluster-info"] = lambda message: self.cluster_info()
-        self._segment = None  #: shared CSR segment of the applied snapshot
         self._thread: Optional[threading.Thread] = None
         self._shutdown_lock = threading.Lock()
         self._closed = False
@@ -158,7 +151,6 @@ class ReplicaNode:
             self._closed = True
         self._tailer.stop()
         self._loop.stop()
-        self._release_segment()
         if self._thread is not None:
             self._thread.join(timeout=join_timeout)
             self._thread = None
@@ -172,64 +164,15 @@ class ReplicaNode:
     # -- replication callbacks (tailer thread) ---------------------------------
 
     def _load_snapshot(self, state: Dict[str, Any]) -> None:
+        # The restore leaves its CSR in the snapshot cache, so the first
+        # record builds the maintenance kernel from it without a rebuild.
         with TRACER.span(
             "cluster.load_snapshot", version=state["graph_version"]
         ):
             dyn = DynamicESDIndex.from_state(state)
-            self._seed_kernel(dyn, state)
         self.engine.load_index(dyn)
         self._synced = True
         self.metrics.incr("snapshots_loaded")
-
-    def _seed_kernel(self, dyn: DynamicESDIndex, state: Dict[str, Any]) -> None:
-        """Install the snapshot CSR as a shared segment; seed the kernel.
-
-        With a namespace configured, replicas of one cluster share one
-        read-only CSR segment per snapshot version: the first installer
-        publishes the CSR its restore already built to derive ``M``
-        (the graph's cached snapshot, so one CSR per load); the rest
-        attach and map.  Either way the replica's
-        maintenance kernel adopts the segment's id space, so replication
-        records apply through the same id-space path the writer used --
-        no per-replica snapshot rebuild on the first mutation.  Any
-        failure falls back to the lazy per-replica kernel; serving
-        correctness never depends on shared memory.
-        """
-        from repro.kernels.dispatch import kernels_enabled
-
-        if not kernels_enabled():
-            return
-        from repro.kernels import shm
-        from repro.kernels.csr import snapshot_csr
-        from repro.kernels.delta import MaintenanceKernel
-
-        if not self.config.shm_namespace or not shm.shm_available():
-            return
-        name = f"{self.config.shm_namespace}-v{state['graph_version']}"
-        try:
-            segment, created = shm.create_or_attach(
-                name, lambda: snapshot_csr(dyn.graph)
-            )
-            dyn.adopt_kernel(
-                MaintenanceKernel.from_csr(segment.csr(), dyn.graph.revision)
-            )
-        except Exception:
-            self.metrics.incr("shm_seed_failures")
-            return
-        self._release_segment()
-        self._segment = segment
-        self.metrics.incr(
-            "shm_segments_published" if created else "shm_segments_mapped"
-        )
-
-    def _release_segment(self) -> None:
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        if segment.creator:
-            segment.destroy()
-        else:
-            segment.detach()
 
     def _apply_record(self, record: WALRecord) -> bool:
         # Only the tailer thread mutates the engine, so the checks need

@@ -52,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.kernels.shm import shm_metrics
 from repro.obs.promtext import http_metrics_response, render_prometheus
 from repro.obs.registry import UnifiedRegistry
 from repro.obs.trace import TRACER
@@ -167,7 +166,6 @@ class Router:
         self.obs = UnifiedRegistry(self.metrics)
         self.obs.add_source("cluster", self.status)
         self.obs.add_source("eventloop", self._loop.snapshot)
-        self.obs.add_source("shm", shm_metrics)
         self._thread: Optional[threading.Thread] = None
         self._shutdown_lock = threading.Lock()
         self._closed = False

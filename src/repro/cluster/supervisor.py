@@ -16,7 +16,6 @@ topology.
 
 from __future__ import annotations
 
-import os
 import re
 import subprocess
 import sys
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Tuple
 
 from repro.cluster.router import Router, RouterConfig
-from repro.kernels.shm import sweep_stale_segments, unlink_namespace
 
 __all__ = [
     "ClusterConfig",
@@ -94,11 +92,6 @@ class ClusterSupervisor:
         self.repl_address: Optional[Tuple[str, int]] = None
         self.replica_addresses: Dict[str, Tuple[str, int]] = {}
         self.router: Optional[Router] = None
-        #: Shared-memory namespace the replicas publish/map snapshot CSR
-        #: segments under.  Prefixed ``esd-<supervisor pid>-`` so
-        #: :func:`sweep_stale_segments` can reclaim it even if this
-        #: process dies without running :meth:`stop`.
-        self.shm_namespace = f"esd-{os.getpid()}-snap"
 
     # -- boot ------------------------------------------------------------------
 
@@ -147,7 +140,6 @@ class ClusterSupervisor:
                         "--port", str(port),
                         "--writer-host", self.repl_address[0],
                         "--writer-repl-port", str(self.repl_address[1]),
-                        "--shm-namespace", self.shm_namespace,
                     ]
                 )
                 self.replica_procs[name] = proc
@@ -172,7 +164,9 @@ class ClusterSupervisor:
                     "router could not reach every backend: "
                     f"{self.router.status()}"
                 )
-        except Exception:
+        except BaseException:
+            # KeyboardInterrupt too: ``esd cluster start`` turns SIGTERM
+            # into one, and a signal mid-boot must not orphan children.
             self.stop()
             raise
         return self
@@ -216,11 +210,6 @@ class ClusterSupervisor:
         if self.writer_proc is not None:
             self._reap(self.writer_proc, grace)
             self.writer_proc = None
-        # Children are dead; hammer any snapshot segments they published
-        # (replicas normally unlink their own, but a killed child can't),
-        # then sweep segments orphaned by *other* dead processes.
-        unlink_namespace(self.shm_namespace)
-        sweep_stale_segments()
 
     def __enter__(self) -> "ClusterSupervisor":
         return self

@@ -205,20 +205,6 @@ class DynamicESDIndex:
             self._kmaint = kernel
         return kernel
 
-    def adopt_kernel(self, kernel: MaintenanceKernel) -> bool:
-        """Install a pre-built maintenance kernel; False if it is stale.
-
-        Cluster replicas hand over a kernel derived from the shared
-        snapshot CSR here, so replication records apply through the
-        id-space path without a per-replica rebuild.  A kernel whose
-        revision does not match the live graph is refused (the lazy
-        path would immediately replace it anyway).
-        """
-        if kernel.revision != self._graph.revision:
-            return False
-        self._kmaint = kernel
-        return True
-
     # -- insertion (Algorithm 4) ------------------------------------------------
 
     def insert_edge(self, u: Vertex, v: Vertex) -> UpdateStats:

@@ -17,9 +17,9 @@ Pipeline:
    chunk per worker -- the load balancing §IV-E exists for,
 2. a ``multiprocessing`` fork pool computes each chunk's per-edge
    component-size multisets (true parallelism; Python threads would
-   serialize on the GIL); with kernels enabled the parent ships the
-   flat CSR arrays to each worker exactly once via the pool
-   initializer and chunks travel as packed ``array('l')`` id pairs,
+   serialize on the GIL); with kernels enabled the workers inherit the
+   parent's bit-packed CSR snapshot through fork and chunks travel as
+   packed ``array('l')`` id pairs,
 3. the parent bulk-loads the ESDIndex from the merged multisets.
 
 ``threads=1`` runs inline with zero pool overhead so speedup ratios
@@ -43,20 +43,11 @@ from repro.graph.graph import Edge, Graph, Vertex
 from repro.graph.ordering import OrientedGraph
 from repro.kernels.dispatch import kernels_enabled
 
-# Worker-side state, inherited through fork (set before pool creation).
+# Worker-side state, inherited through fork (set before pool creation,
+# cleared once the pool is gone).
 _WORKER_GRAPH: Graph = None  # type: ignore[assignment]
 _WORKER_DAG: OrientedGraph = None  # type: ignore[assignment]
-# Worker-side CSR snapshot, mapped (shared-memory route) or rebuilt
-# (pickled-arrays fallback) once per worker in the pool initializer,
-# never re-pickled per chunk.
-_WORKER_CSR = None
-
-#: How the most recent kernel-route pool run shipped its snapshot:
-#: ``mode`` is ``"shm"`` or ``"pickle"``, ``initargs_bytes`` is the
-#: pickled size of the pool initargs (the whole per-worker serialization
-#: cost), ``segment_bytes`` the shared segment size (0 on fallback).
-#: Tests assert the shm route ships names, not arrays.
-LAST_SHIP_INFO: Dict[str, object] = {}
+_WORKER_CSR = None  # CSR snapshot with its adjacency bitsets packed
 
 
 def _resolve_threads(threads: int) -> int:
@@ -122,30 +113,6 @@ def _component_sizes_chunk(chunk: Sequence[Edge]) -> Dict[Edge, Tuple[int, ...]]
     return out
 
 
-def _init_worker_csr(offsets, neighbors, dag_start, labels) -> None:
-    """Pool initializer: rehydrate the shipped CSR arrays, once per worker."""
-    global _WORKER_CSR
-    from repro.kernels.csr import CSRGraph
-
-    _WORKER_CSR = CSRGraph.from_arrays(offsets, neighbors, dag_start, labels)
-    _WORKER_CSR.ensure_bits()
-
-
-def _init_worker_shared(segment_name: str) -> None:
-    """Pool initializer: map the parent's shared CSR segment read-only.
-
-    Only the segment *name* crossed the process boundary; the flat
-    arrays are memoryview casts into the mapping.  The worker never
-    closes the segment itself -- the mapping dies with the (forked)
-    worker process, and the parent owns the unlink.
-    """
-    global _WORKER_CSR
-    from repro.kernels.shm import SharedCSRSegment
-
-    _WORKER_CSR = SharedCSRSegment.attach(segment_name).csr()
-    _WORKER_CSR.ensure_bits()
-
-
 def _component_sizes_chunk_ids(chunk: array) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     """Worker: flood-fill sizes for a packed ``array('l')`` of id pairs."""
     from repro.kernels.components import _flood_fill_sizes
@@ -164,16 +131,18 @@ def _component_sizes_chunk_ids(chunk: array) -> Dict[Tuple[int, int], Tuple[int,
 def _parallel_component_sizes_kernel(
     graph: Graph, threads: int
 ) -> Dict[Edge, Tuple[int, ...]]:
-    """Kernel route: ship flat CSR arrays once, fan id-pair chunks out.
+    """Kernel route: workers inherit the CSR by fork, chunks are id pairs.
 
-    Each chunk is a packed ``array('l')`` of interned id pairs -- a few
-    machine words per edge on the wire instead of a pickled label tuple
-    -- and every worker rebuilds (and bit-packs) the snapshot exactly
-    once in its initializer.
+    The parent packs the snapshot's bitsets once before the pool forks,
+    so no worker rebuilds or unpickles it.  Each chunk is a packed
+    ``array('l')`` of interned id pairs -- a few machine words per edge
+    on the wire instead of a pickled label tuple.
     """
+    global _WORKER_CSR
     from repro.kernels.csr import snapshot_csr
 
     csr = snapshot_csr(graph)
+    csr.ensure_bits()
     intern = csr.intern
     chunks = _cost_balanced_chunks(graph, threads)
     id_chunks = [
@@ -185,39 +154,15 @@ def _parallel_component_sizes_kernel(
     ]
     canon = csr.canonical_label_edge
     merged: Dict[Edge, Tuple[int, ...]] = {}
-    segment = None
-    initializer, initargs = _init_worker_csr, csr.ship()
-    from repro.kernels import shm
-
-    if shm.shm_available():
-        try:
-            segment = shm.SharedCSRSegment.create(csr)
-            initializer, initargs = _init_worker_shared, (segment.name,)
-        except Exception:
-            # /dev/shm full or unusable: the pickled-arrays route still
-            # produces identical results, just with per-worker copies.
-            segment = None
-    import pickle as _pickle
-
-    LAST_SHIP_INFO.clear()
-    LAST_SHIP_INFO.update(
-        mode="shm" if segment is not None else "pickle",
-        initargs_bytes=len(_pickle.dumps(initargs)),
-        segment_bytes=segment.size if segment is not None else 0,
-    )
+    _WORKER_CSR = csr
     try:
         ctx = mp.get_context("fork")
-        with ctx.Pool(
-            processes=threads,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
+        with ctx.Pool(processes=threads) as pool:
             for part in pool.map(_component_sizes_chunk_ids, id_chunks):
                 for (a, b), sizes in part.items():
                     merged[canon(a, b)] = sizes
     finally:
-        if segment is not None:
-            segment.destroy()
+        _WORKER_CSR = None
     return merged
 
 

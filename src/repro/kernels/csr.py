@@ -13,9 +13,7 @@ frozen adjacency.  ``CSRGraph`` is that frozen read path:
 * the adjacency lives in two flat ``array('l')`` buffers (``offsets`` of
   length ``n + 1`` and ``neighbors`` of length ``2m``), each slice
   sorted ascending -- the layout the sorted-intersection kernels in
-  :mod:`repro.kernels.intersect` run on, and the payload the parallel
-  builder ships to worker processes once, instead of a pickled ``Graph``
-  per chunk;
+  :mod:`repro.kernels.intersect` run on;
 * for high-degree work the snapshot lazily packs rows into big-int
   bitsets (the :mod:`repro.graph.bitset` idiom), giving word-parallel
   AND/OR for the intersection fallback and the ego-network flood fill.
@@ -184,12 +182,10 @@ class CSRGraph:
         """Build straight from a vertex/edge listing, skipping ``Graph``.
 
         The persistence fast path: a decoded snapshot state already *is*
-        a vertex list plus canonical edge list, so the CSR a restoring
-        node needs (to publish as a shared segment, or to seed the
-        maintenance kernel) can be interned without first materializing
-        dict-of-set adjacency.  Uses the same ``(degree, label)``
-        ordering as :meth:`from_graph`, so the result is identical to
-        ``from_graph`` on the equivalent graph.
+        a vertex list plus canonical edge list, so a CSR can be interned
+        without first materializing dict-of-set adjacency.  Uses the same
+        ``(degree, label)`` ordering as :meth:`from_graph`, so the result
+        is identical to ``from_graph`` on the equivalent graph.
         """
         degree: Dict[Hashable, int] = {v: 0 for v in vertices}
         pairs = []
@@ -219,21 +215,6 @@ class CSRGraph:
         neighbors = array("l", chain.from_iterable(rows)) if n else array("l")
         KERNEL_COUNTERS.csr_builds += 1
         return cls(offsets, neighbors, dag_start, interner)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        offsets: array,
-        neighbors: array,
-        dag_start: array,
-        labels: List[Hashable],
-    ) -> "CSRGraph":
-        """Rehydrate from shipped flat arrays (parallel worker side)."""
-        return cls(offsets, neighbors, dag_start, VertexInterner(labels))
-
-    def ship(self) -> Tuple[array, array, array, List[Hashable]]:
-        """The flat payload :meth:`from_arrays` rebuilds from."""
-        return (self.offsets, self.neighbors, self.dag_start, self.interner.labels)
 
     # -- id plumbing --------------------------------------------------------
 

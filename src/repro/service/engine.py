@@ -48,7 +48,6 @@ from repro.core.maintenance import DynamicESDIndex
 from repro.core.monitor import TopKChange, TopKMonitor
 from repro.graph.graph import Graph, canonical_edge
 from repro.kernels.counters import KERNEL_COUNTERS
-from repro.kernels.shm import shm_metrics
 from repro.metrics import (
     DEFAULT_METRIC,
     get_metric,
@@ -274,7 +273,6 @@ class QueryEngine:
         registry.add_source("core", self._core_counters)
         registry.add_source("kernels", KERNEL_COUNTERS.snapshot)
         registry.add_source("scorer_memos", scorer_stats)
-        registry.add_source("shm", shm_metrics)
         registry.add_source("slow_queries", self.slow_log.snapshot)
         registry.add_source(
             "invariant_sampler",

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.cluster.eventloop import EventLoop
+from repro.cluster.eventloop import OUTBUF_LIMIT, EventLoop
 
 
 class LoopFixture:
@@ -166,3 +166,78 @@ def test_stop_closes_all_sockets(loop_fixture):
     assert f.readline() == b""
     sock.close()
     assert loop.snapshot()["open_connections"] == 0
+
+
+def _read_exactly(sock, size, *, chunk=1 << 16, pause=0.0):
+    """``size`` bytes from ``sock``, ``chunk`` at a time."""
+    data = bytearray()
+    while len(data) < size:
+        piece = sock.recv(min(chunk, size - len(data)))
+        assert piece, f"EOF after {len(data)} of {size} bytes"
+        data += piece
+        if pause:
+            time.sleep(pause)
+    return bytes(data)
+
+
+def test_non_reading_client_keeps_outbuf_bounded(loop_fixture):
+    # A peer that pipelines requests but never reads must not make the
+    # server queue every reply: reading pauses while outbuf is over the
+    # limit, and resumes, in order, once the peer drains it.
+    loop = loop_fixture.loop
+    pad = b"x" * 4096
+    listener = loop.listen(
+        "127.0.0.1", 0,
+        lambda ch, line: ch.send_bytes(line + b" " + pad + b"\n"),
+    )
+    loop_fixture.start()
+    count = 20_000
+    requests = b"".join(b"ping %05d\n" % i for i in range(count))
+    sock = socket.create_connection(listener.address, timeout=10.0)
+    # Sent from a thread: once the server stops reading, the request
+    # stream itself may block in the kernel's socket buffers.
+    sender = threading.Thread(target=sock.sendall, args=(requests,))
+    sender.start()
+    try:
+        peak = 0
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            for channel in list(loop._channels):
+                peak = max(peak, len(channel.outbuf))
+            time.sleep(0.01)
+        reply_size = len(b"ping 00000 ") + len(pad) + 1
+        assert 0 < peak <= OUTBUF_LIMIT + reply_size, peak
+        replies = _read_exactly(sock, count * reply_size).split(b"\n")
+        assert replies[-1] == b""
+        assert [r[:10] for r in replies[:-1]] == [
+            b"ping %05d" % i for i in range(count)
+        ]
+    finally:
+        sender.join(timeout=10)
+        sock.close()
+    assert not sender.is_alive()
+    assert loop.stats["lines"] == count
+
+
+def test_slow_reader_gets_a_multi_mb_reply_byte_for_byte(loop_fixture):
+    # A tiny receive window forces many partial sends; the reply must
+    # still arrive intact, and bytes_out must count exactly what left.
+    loop = loop_fixture.loop
+    big = bytes(range(256)) * (3 * 4096) + b"\n"  # 3 MiB + newline
+    listener = loop.listen(
+        "127.0.0.1", 0,
+        lambda ch, line: ch.send_bytes(big if line == b"big" else b"ok\n"),
+    )
+    loop_fixture.start()
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(10.0)
+    sock.connect(listener.address)
+    try:
+        sock.sendall(b"big\nping\n")
+        received = _read_exactly(sock, len(big) + 3, chunk=4096, pause=0.0002)
+    finally:
+        sock.close()
+    assert received[: len(big)] == big
+    assert received[len(big) :] == b"ok\n"
+    assert loop.stats["bytes_out"] == len(received)

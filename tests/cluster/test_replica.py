@@ -1,4 +1,5 @@
-"""Replica serve path: the shared op table and the snapshot-resync path.
+"""Replica serve path: the shared op table, the snapshot-resync path and
+the lazily built maintenance kernel.
 
 The resync tests drive a real :class:`ReplicaNode` from a scripted
 replication peer, so they can deliver exactly the records a healthy
@@ -187,3 +188,54 @@ def test_unknown_ops_create_no_metric_series(node_address):
                 client.request(f"bogus-{i}")
             assert info.value.code == "unknown_op"
         assert set(client.metrics()["endpoints"]) == before
+
+
+def test_first_record_reuses_the_restore_csr(scripted):
+    # The maintenance kernel is built lazily on the first record from
+    # the CSR the snapshot restore left cached: no second CSR build.
+    from repro.kernels.counters import KERNEL_COUNTERS
+    from repro.kernels.dispatch import use_kernels
+
+    writer, replica = scripted
+    engine = QueryEngine(gnm_random(20, 60, seed=5))
+    u, v = sorted(engine.dynamic_index.graph.edges())[0]
+    with use_kernels("csr"):
+        sock, _ = writer.accept()
+        assert _send_snapshot(sock, engine) == 0
+        assert replica.engine.dynamic_index._kmaint is None
+        builds = KERNEL_COUNTERS.csr_builds
+        _send_record(sock, "delete", u, v, 1)
+        assert recv_frame(sock)[0] == FRAME_ACK
+        assert replica.applied_version == 1
+        assert KERNEL_COUNTERS.csr_builds == builds
+        assert replica.engine.dynamic_index._kmaint is not None
+    sock.close()
+    engine.close()
+
+
+def test_reloaded_snapshots_free_the_old_graphs_and_csrs(scripted):
+    import gc
+    import weakref
+
+    from repro.kernels.csr import _SNAPSHOT_CACHE
+    from repro.kernels.dispatch import use_kernels
+
+    writer, replica = scripted
+    engine = QueryEngine(gnm_random(20, 60, seed=5))
+    graphs = []
+    with use_kernels("csr"):
+        sock, _ = writer.accept()
+        for version in range(1, 4):
+            engine.update("insert", 900, 900 + version)
+            assert _send_snapshot(sock, engine) == version
+            graphs.append(weakref.ref(replica.engine.dynamic_index.graph))
+    sock.close()
+    gc.collect()
+    # The two replaced graphs are gone, and with them their cached CSRs;
+    # only the applied snapshot's graph keeps one cache entry.
+    assert [ref() is None for ref in graphs] == [True, True, False]
+    current = graphs[-1]()
+    entries = list(_SNAPSHOT_CACHE.values())
+    assert all(ref() is not None for ref, _, _ in entries)
+    assert sum(1 for ref, _, _ in entries if ref() is current) == 1
+    engine.close()

@@ -122,3 +122,33 @@ def test_cluster_status_cli_verb(cluster):
     assert {entry["name"] for entry in status["replicas"]} == {
         "replica-0", "replica-1"
     }
+
+
+def test_interrupt_during_boot_reaps_every_child(tmp_path, monkeypatch):
+    # ``esd cluster start`` turns SIGTERM into KeyboardInterrupt; one that
+    # lands while the router waits for its backends must still reap the
+    # writer and replica processes already spawned.
+    from repro.cluster.router import Router
+
+    def interrupted(self, timeout):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Router, "wait_ready", interrupted)
+    graph_file = tmp_path / "graph.txt"
+    write_edge_list(gnm_random(20, 60, seed=21), graph_file)
+    supervisor = ClusterSupervisor(
+        ClusterConfig(replicas=1, writer_args=["--graph", str(graph_file)])
+    )
+    spawned = []
+    spawn = supervisor._spawn
+
+    def recording_spawn(argv):
+        spawned.append(spawn(argv))
+        return spawned[-1]
+
+    monkeypatch.setattr(supervisor, "_spawn", recording_spawn)
+    with pytest.raises(KeyboardInterrupt):
+        supervisor.start()
+    assert len(spawned) == 2
+    assert all(proc.poll() is not None for proc in spawned)
+    assert supervisor.writer_proc is None and not supervisor.replica_procs

@@ -20,6 +20,11 @@ def indexes_equal(a, b) -> bool:
     return all(a.class_list(c) == b.class_list(c) for c in a.size_classes)
 
 
+def _failing_chunk(chunk):
+    """Pool worker stand-in that always raises (module level: picklable)."""
+    raise RuntimeError("worker failed")
+
+
 class TestParallelBuild:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_matches_sequential(self, threads):
@@ -129,6 +134,30 @@ class TestPoolLifecycle:
         assert parallel_mod._WORKER_DAG is None
         assert list(iterator)  # the results themselves are still intact
 
+    def test_kernel_pool_clears_worker_csr(self):
+        from repro.core import parallel as parallel_mod
+        from repro.kernels.dispatch import use_kernels
+
+        g = erdos_renyi(120, 0.12, seed=8)
+        with use_kernels("csr"):
+            assert parallel_component_sizes(g, threads=2)
+        assert parallel_mod._WORKER_CSR is None
+
+    def test_kernel_pool_clears_worker_csr_when_a_worker_raises(
+        self, monkeypatch
+    ):
+        from repro.core import parallel as parallel_mod
+        from repro.kernels.dispatch import use_kernels
+
+        monkeypatch.setattr(
+            parallel_mod, "_component_sizes_chunk_ids", _failing_chunk
+        )
+        g = erdos_renyi(120, 0.12, seed=8)
+        with use_kernels("csr"):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                parallel_component_sizes(g, threads=2)
+        assert parallel_mod._WORKER_CSR is None
+
 
 class TestCostBalancedChunks:
     """LPT scheduling of edges by |N(u) ∩ N(v)|-proportional cost."""
@@ -209,57 +238,32 @@ class TestCostBalancedChunks:
         assert a == b
 
 
-class TestSharedMemoryShipping:
-    """Workers must map the shared CSR segment, not unpickle the arrays."""
+class TestKernelPoolRoute:
+    """The CSR kernel route fans id-pair chunks out to a fork pool whose
+    workers inherit the parent's bit-packed CSR snapshot."""
 
-    def test_pool_ships_segment_name_not_arrays(self):
-        from repro.core import parallel as par
-        from repro.kernels import shm
+    def test_pool_route_matches_sequential(self):
         from repro.kernels.dispatch import use_kernels
 
-        if not shm.shm_available():
-            pytest.skip("no shared-memory support")
         # Large enough that m >= 4 * threads engages the pool route.
         g = erdos_renyi(120, 0.12, seed=8)
+        assert g.m >= 4 * 2
         with use_kernels("csr"):
             sizes = parallel_component_sizes(g, threads=2)
-        info = dict(par.LAST_SHIP_INFO)
-        assert info["mode"] == "shm"
-        # The initargs carry a segment *name* (a short string), not the
-        # pickled CSR arrays: a few hundred bytes versus tens of KB.
-        assert info["initargs_bytes"] < 200, info
-        assert info["segment_bytes"] > 10_000, info
-        # And the answers are the sequential ones.
-        for (u, v), s in sizes.items():
-            assert sorted(s) == sorted(ego_component_sizes(g, u, v))
+        expected = {
+            (u, v): sorted(ego_component_sizes(g, u, v))
+            for u, v in g.edges()
+            if g.common_neighbors(u, v)
+        }
+        assert {e: sorted(s) for e, s in sizes.items()} == expected
 
-    def test_segment_destroyed_after_pool_run(self):
-        import os
-
-        from repro.core import parallel as par
-        from repro.kernels import shm
+    def test_bitsets_packed_before_fork(self):
+        # Workers read adj_bits straight away; packing them in the parent
+        # means no worker repeats the work after the fork.
+        from repro.kernels.csr import snapshot_csr
         from repro.kernels.dispatch import use_kernels
 
-        if not shm.shm_available():
-            pytest.skip("no shared-memory support")
         g = erdos_renyi(120, 0.12, seed=8)
         with use_kernels("csr"):
             parallel_component_sizes(g, threads=2)
-        assert par.LAST_SHIP_INFO["mode"] == "shm"
-        prefix = f"esd-{os.getpid()}-"
-        leftovers = [
-            e for e in os.listdir("/dev/shm") if e.startswith(prefix)
-        ] if os.path.isdir("/dev/shm") else []
-        assert leftovers == [], leftovers
-
-    def test_set_mode_never_ships_a_segment(self):
-        from repro.core import parallel as par
-        from repro.kernels.dispatch import use_kernels
-
-        g = erdos_renyi(120, 0.12, seed=8)
-        par.LAST_SHIP_INFO.clear()
-        with use_kernels("set"):
-            parallel_component_sizes(g, threads=2)
-        # The set route never enters the kernel pool, so the ship-info
-        # record stays untouched.
-        assert par.LAST_SHIP_INFO == {}
+            assert snapshot_csr(g).bits_built

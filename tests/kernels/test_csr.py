@@ -70,16 +70,6 @@ class TestCSRGraph:
             ins = [v for v in csr.neighbor_ids(u) if v < u]
             assert len(ins) + len(outs) == csr.degree(u)
 
-    def test_ship_round_trip(self):
-        g = erdos_renyi(40, 0.2, seed=2)
-        csr = CSRGraph.from_graph(g)
-        clone = CSRGraph.from_arrays(*csr.ship())
-        assert clone.n == csr.n and clone.m == csr.m
-        assert list(clone.offsets) == list(csr.offsets)
-        assert list(clone.neighbors) == list(csr.neighbors)
-        assert list(clone.dag_start) == list(csr.dag_start)
-        assert clone.interner.labels == csr.interner.labels
-
     def test_bitset_layer(self):
         g = erdos_renyi(40, 0.25, seed=3)
         csr = CSRGraph.from_graph(g)
