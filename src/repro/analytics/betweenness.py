@@ -3,11 +3,11 @@
 The paper's case studies (Exp-7/8) compare the top-k structural-diversity
 edges against the top-k edges by betweenness (``BT``).  Brandes'
 accumulation computes exact edge betweenness in ``O(n m)`` for unweighted
-graphs -- fine at case-study scale, but a full-graph recompute per
-serving query.  :func:`edge_ego_betweenness` is the serving-path
-alternative (following the top-k ego-betweenness line of work): the same
-shortest-path-fraction accounting restricted to the edge's own 2-hop
-neighborhood, computable per edge in ``O(d(u) + d(v))`` intersections.
+graphs -- fine at case-study scale.  :func:`edge_ego_betweenness` is the
+local alternative (following the top-k ego-betweenness line of work):
+the same shortest-path-fraction accounting restricted to the edge's own
+2-hop neighborhood, computable per edge in ``O(d(u) + d(v))``
+intersections.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import fsum
 from typing import Dict, List, Tuple
 
 from repro.graph.graph import Edge, Graph, Vertex, canonical_edge
-from repro.graph.ordering import edge_sort_key
+from repro.graph.ordering import rank_edges
 from repro.kernels.dispatch import kernels_enabled
 
 
@@ -136,17 +136,13 @@ def all_edge_ego_betweenness(graph: Graph) -> Dict[Edge, float]:
 def topk_edge_betweenness(
     graph: Graph, k: int
 ) -> List[Tuple[Edge, float]]:
-    """Top-k edges by betweenness (the ``BT`` baseline of Exp-7/8).
+    """Top-k edges by betweenness (the ``BT`` baseline of Exp-7/8; ties
+    break as in :func:`~repro.graph.ordering.rank_edges`)."""
+    return rank_edges(edge_betweenness(graph), k)
 
-    Ties break on the type-tagged edge key, so graphs mixing ``int``
-    and ``str`` vertex labels (legal: the types live in disjoint
-    components) rank deterministically instead of raising ``TypeError``
-    from the raw-tuple comparison.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = edge_betweenness(graph)
-    ranked = sorted(
-        scores.items(), key=lambda item: (-item[1], edge_sort_key(item[0]))
-    )
-    return ranked[:k]
+
+def topk_ego_betweenness(
+    graph: Graph, k: int
+) -> List[Tuple[Edge, float]]:
+    """Top-k edges by ego-betweenness (:func:`all_edge_ego_betweenness`)."""
+    return rank_edges(all_edge_ego_betweenness(graph), k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.graph.graph import Edge, Graph, canonical_edge
-from repro.graph.ordering import edge_sort_key
+from repro.graph.ordering import rank_edges
 from repro.kernels.dispatch import kernels_enabled
 
 
@@ -90,17 +90,6 @@ def k_truss_subgraph(graph: Graph, k: int) -> Graph:
 
 
 def topk_truss_edges(graph: Graph, k: int) -> List[Tuple[Edge, int]]:
-    """Top-k edges by truss number -- a strength baseline.
-
-    Ties break on the type-tagged edge key (not the raw edge tuple):
-    tied edges whose vertex labels have different types -- an ``int``
-    component next to a ``str`` component -- are not mutually orderable,
-    and the raw tuple comparison raised ``TypeError`` on such graphs.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    numbers = truss_numbers(graph)
-    ranked = sorted(
-        numbers.items(), key=lambda item: (-item[1], edge_sort_key(item[0]))
-    )
-    return ranked[:k]
+    """Top-k edges by truss number -- a strength baseline (ties break
+    as in :func:`~repro.graph.ordering.rank_edges`)."""
+    return rank_edges(truss_numbers(graph), k)

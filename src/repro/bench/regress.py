@@ -18,10 +18,9 @@ Two metrics are supported for the comparison:
   the reference implementation, whatever the hardware.
 
 The default run times every suite -- the classic ``full``/``quick``
-index workloads plus the specialized ``truss_build`` and
-``metric_maintenance`` suites -- so a committed BENCH file can serve as
-the baseline for quick CI runs (``--quick`` drops only ``full``) and
-for full local runs alike.
+index workloads plus the specialized ``truss_build`` suite -- so a
+committed BENCH file can serve as the baseline for quick CI runs
+(``--quick`` drops only ``full``) and for full local runs alike.
 """
 
 from __future__ import annotations
@@ -39,15 +38,10 @@ from repro.bench.harness import ExperimentTable, Seconds
 from repro.core.build import build_index_fast
 from repro.core.maintenance import DynamicESDIndex
 from repro.core.online import topk_online
-from repro.graph.generators import erdos_renyi, planted_partition
+from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.kernels.counters import KERNEL_COUNTERS
 from repro.kernels.dispatch import use_kernels
-from repro.metrics import (
-    BetweennessScorer,
-    EgoBetweennessScorer,
-    TrussScorer,
-)
 
 #: Repository root -- where BENCH_*.json records live, next to README.md.
 REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -80,22 +74,6 @@ SUITES: Dict[str, Dict[str, int | float | str]] = {
         "kind": "truss_build",
         "n": 500, "p": 0.05, "seed": 11, "repeats": 5,
     },
-    # The metric family's full-recompute cliff: mutate an edge, then
-    # query topk.  The clustered graph keeps each truss re-peel local
-    # to one community while the set-mode baseline rebuilds the whole
-    # table, so the csr/set ratio *is* the incremental-vs-full speedup.
-    # Betweenness is mode-aware by design: csr serves the re-founded
-    # local ego-betweenness (``metric=betweenness``), set runs the
-    # global Brandes pass it replaced (``metric=betweenness_global``)
-    # on a pinned smaller graph -- the ratio measures what re-founding
-    # the serving-path metric bought.
-    "metric_maintenance": {
-        "kind": "metric_maintenance",
-        "communities": 40, "community_size": 26, "p_in": 0.45,
-        "seed": 11, "k": 10, "probes": 6,
-        "bt_n": 260, "bt_p": 0.07, "bt_probes": 2,
-        "repeats": 3,
-    },
 }
 
 #: Op execution order (and display order).
@@ -114,7 +92,6 @@ SPEEDUP_OPS = ("build_index_fast", "count_triangles")
 #: Ops each non-classic suite kind runs (classic suites run :data:`OPS`).
 SUITE_KIND_OPS: Dict[str, Tuple[str, ...]] = {
     "truss_build": ("truss_numbers",),
-    "metric_maintenance": ("truss_mutate_query", "betweenness_mutate_query"),
 }
 
 #: Ops reported but never *gated*: their timed region is at most a few
@@ -136,11 +113,6 @@ SPEEDUP_FLOORS: Dict[str, float] = {
     # Kernel bucket-peel vs set truss decomposition: measured ~2.1-2.3x
     # across densities; 1.5 leaves honest headroom.
     "truss_numbers": 1.5,
-    # The PR-10 acceptance gate: incremental maintenance (re-peel /
-    # local ego-betweenness) must hold >= 5x over the full-recompute
-    # baseline on the mutate-then-query workload.
-    "truss_mutate_query": 5.0,
-    "betweenness_mutate_query": 5.0,
 }
 
 
@@ -255,93 +227,10 @@ def _truss_build_suite(spec: Dict) -> Tuple[Dict, Tuple[str, ...], Callable]:
     return workload, SUITE_KIND_OPS["truss_build"], make_ops
 
 
-def _clustered_graph(
-    communities: int, size: int, p_in: float, seed: int
-) -> Graph:
-    """Dense communities joined by triangle-free ring bridges.
-
-    With ``p_out = 0`` a bridge's endpoints share no neighbor, so a
-    bridge closes no triangle and every truss re-peel region stays
-    inside the mutated edge's own community -- the locality the
-    incremental scorer is being measured on.
-    """
-    graph = planted_partition(communities, size, p_in, 0.0, seed=seed)
-    for c in range(communities):
-        graph.add_edge(c * size, ((c + 1) % communities) * size + 1)
-    return graph
-
-
-def _intra_probes(graph: Graph, size: int, count: int) -> List[Tuple]:
-    """One deterministic intra-community edge from each of ``count``
-    communities (skipping a community in the vanishingly unlikely case
-    its anchor vertex has no intra neighbor)."""
-    probes: List[Tuple] = []
-    for c in range(count):
-        base = c * size
-        intra = sorted(v for v in graph.neighbors(base) if v // size == c)
-        if intra:
-            probes.append((base, intra[0]))
-    return probes
-
-
-def _metric_maintenance_suite(
-    spec: Dict,
-) -> Tuple[Dict, Tuple[str, ...], Callable]:
-    """Mutate-then-query latency of the memoized metric family.
-
-    Scorers are primed at op-build time (inside the mode context), so
-    the timed region is steady-state maintenance: every query after a
-    mutation must refresh the memoized table.  In csr mode that refresh
-    is the incremental path (truss re-peel, kernel ego-betweenness); in
-    set mode it is the full-recompute baseline this PR removed from the
-    serving path.
-    """
-    communities = int(spec["communities"])
-    size = int(spec["community_size"])
-    seed, k = int(spec["seed"]), int(spec["k"])
-    graph = _clustered_graph(communities, size, float(spec["p_in"]), seed)
-    probes = _intra_probes(graph, size, int(spec["probes"]))
-    bt_graph = erdos_renyi(int(spec["bt_n"]), float(spec["bt_p"]), seed=seed)
-    bt_probes = bt_graph.edge_list()[: int(spec["bt_probes"])]
-    workload = {
-        **spec, "n": graph.n, "m": graph.m, "bt_m": bt_graph.m,
-    }
-
-    def make_ops(mode: str) -> Dict[str, Callable[[], object]]:
-        truss_scorer = TrussScorer()
-        truss_scorer.topk(graph, k)
-        bt_scorer = (
-            EgoBetweennessScorer() if mode == "csr" else BetweennessScorer()
-        )
-        bt_scorer.topk(bt_graph, k)
-
-        def op_truss_mutate_query() -> None:
-            for u, v in probes:
-                graph.remove_edge(u, v)
-                truss_scorer.topk(graph, k)
-                graph.add_edge(u, v)
-                truss_scorer.topk(graph, k)
-
-        def op_betweenness_mutate_query() -> None:
-            for u, v in bt_probes:
-                bt_graph.remove_edge(u, v)
-                bt_scorer.topk(bt_graph, k)
-                bt_graph.add_edge(u, v)
-                bt_scorer.topk(bt_graph, k)
-
-        return {
-            "truss_mutate_query": op_truss_mutate_query,
-            "betweenness_mutate_query": op_betweenness_mutate_query,
-        }
-
-    return workload, SUITE_KIND_OPS["metric_maintenance"], make_ops
-
-
 #: Suite ``kind`` field -> builder returning (workload, ops, make_ops).
 _SUITE_BUILDERS: Dict[str, Callable] = {
     "classic": _classic_suite,
     "truss_build": _truss_build_suite,
-    "metric_maintenance": _metric_maintenance_suite,
 }
 
 
@@ -380,8 +269,8 @@ def run_regress(quick: bool = False) -> Dict:
     """Run the suites and return the BENCH payload (not yet persisted).
 
     ``--quick`` drops only the big classic ``full`` suite; the
-    specialized suites (truss build, metric maintenance) are already
-    CI-sized, and skipping them would skip their floors.
+    specialized ``truss_build`` suite is already CI-sized, and skipping
+    it would skip its floor.
     """
     suite_names = (
         [name for name in SUITES if name != "full"]

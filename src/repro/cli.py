@@ -3,9 +3,9 @@
 Subcommands
 -----------
 ``stats``        Table-I statistics of an edge-list file or named dataset.
-``topk``         Top-k edge search (online / exact); ``--metric`` picks the
-                 scorer (esd / truss / betweenness / betweenness_global /
-                 common_neighbors).
+``topk``         Top-k edge search (online / exact); ``--metric`` picks an
+                 offline baseline ranking instead (truss / betweenness /
+                 betweenness_global / common_neighbors).
 ``build-index``  Build an ESDIndex and save it to disk.
 ``query``        Query a saved ESDIndex.
 ``serve``        Long-lived query service over a maintained index (TCP/JSON);
@@ -89,20 +89,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``esd topk --metric`` choices: the paper's ``esd`` plus the offline
+#: baselines of :data:`repro.analytics.rankings.EDGE_RANKINGS`.
+_TOPK_METRICS = [
+    "betweenness", "betweenness_global", "common_neighbors", "esd", "truss",
+]
+
+
 def _cmd_topk(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     start = time.perf_counter()
     if args.metric != "esd":
-        # Non-esd metrics rank through the scorer registry; the esd
-        # path below keeps its specialized online/ordering/exact
-        # algorithms (and its historic output) untouched.
+        # The baselines rank the whole graph once; the esd path below
+        # keeps its online/ordering/exact algorithms.
         if args.target == "vertex":
             raise SystemExit(
                 "error: --target vertex is only defined for --metric esd"
             )
-        from repro.metrics import get_metric
+        from repro.analytics.rankings import EDGE_RANKINGS
 
-        results = get_metric(args.metric).topk(graph, args.k, tau=args.tau)
+        results = EDGE_RANKINGS[args.metric](graph, args.k)
         elapsed = time.perf_counter() - start
         for (u, v), score in results:
             print(f"{u}\t{v}\t{score}")
@@ -186,11 +192,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slow_query_threshold=args.slow_query_ms / 1000.0,
             slow_log_capacity=args.slow_log_capacity,
             invariant_check_interval=args.check_invariants_every,
-            warm_metrics=tuple(
-                name.strip()
-                for name in (args.warm_metrics or "").split(",")
-                if name.strip()
-            ),
         ),
     )
     if server.recovery is not None:
@@ -570,13 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_topk.add_argument(
         "--method", choices=["online", "ordering", "exact"], default="online"
     )
-    from repro.metrics import metric_names
-
     p_topk.add_argument(
         "--metric",
-        choices=metric_names(),
+        choices=_TOPK_METRICS,
         default="esd",
-        help="ranking metric (non-esd metrics ignore --method/--bound)",
+        help="ranking metric (non-esd metrics ignore --method/--bound/--tau)",
     )
     p_topk.add_argument(
         "--target", choices=["edge", "vertex"], default="edge",
@@ -647,12 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-invariants-every", type=int, default=0,
         help="run a sampled index invariant check every N mutations "
         "(0 = off)",
-    )
-    p_serve.add_argument(
-        "--warm-metrics",
-        help="comma-separated metric names to re-warm in the background "
-        "after each write (e.g. 'truss,betweenness'), so the next "
-        "query of those metrics hits a hot table",
     )
     p_serve.add_argument(
         "--trace",

@@ -14,10 +14,9 @@ Routing policy
   writer link is down they fail *fast* with ``unavailable`` -- no
   queueing -- while reads keep flowing to replicas (graceful
   degradation).
-* **Reads** (``topk``, ``score``, ``stats``) -- including any
-  ``metric`` selector, which is proxied verbatim and validated by the
-  serving backend -- are load-balanced over
-  the healthy, non-evicted replicas whose applied version satisfies the
+* **Reads** (``topk``, ``score``, ``stats``) are proxied verbatim (the
+  serving backend validates every field) and load-balanced over the
+  healthy, non-evicted replicas whose applied version satisfies the
   request's *version token*: the effective minimum is
   ``max(request.min_version, connection token)``, where the connection
   token is the newest ``graph_version`` this client has ever seen
@@ -307,12 +306,6 @@ class Router:
     def _route_read(
         self, channel: Channel, message: Dict[str, Any], request_id
     ) -> None:
-        metric = message.get("metric")
-        if isinstance(metric, str) and metric.isidentifier():
-            # Per-metric read-classification counter.  The message is
-            # proxied verbatim, so the backend still validates the name;
-            # the identifier gate only keeps counter keys label-safe.
-            self.metrics.incr(f"reads_metric_{metric}")
         required = max(
             protocol.int_field(message, "min_version", default=0, minimum=0),
             channel.attrs.get("version_token", 0),

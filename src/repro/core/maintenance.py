@@ -142,8 +142,8 @@ class DynamicESDIndex:
         """Register ``callback(events, version)``, fired once per commit
         *group*: once per single-edge mutation, and once -- with the full
         ordered event list -- per :meth:`apply_batch`.  This is the hook
-        for work that amortizes over a batch (the engine notifies each
-        metric scorer once per batch, not once per edge); subscribers
+        for work that amortizes over a batch (the engine purges its result
+        cache once per batch, not once per edge); subscribers
         needing every intermediate version (replication) use
         :meth:`subscribe`.  Same threading contract as :meth:`subscribe`.
         """

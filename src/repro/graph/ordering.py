@@ -9,7 +9,8 @@ enumeration of Algorithm 3 fast.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set, Tuple
+import heapq
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.graph.graph import Edge, Graph, Vertex
 
@@ -34,6 +35,21 @@ def edge_sort_key(edge: Edge) -> Tuple[Tuple[str, Vertex], Tuple[str, Vertex]]:
     listing that must survive mixed-type vertex labels."""
     u, v = edge
     return (vertex_sort_key(u), vertex_sort_key(v))
+
+
+def rank_edges(scores: Dict[Edge, Any], k: int) -> List[Tuple[Edge, Any]]:
+    """Top-k of a whole-graph score table, highest score first.
+
+    Ties break on :func:`edge_sort_key`, never the raw edge tuple, so
+    mixed ``int``/``str`` vertex labels (legal: the types live in
+    disjoint components) rank deterministically instead of raising
+    ``TypeError``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return heapq.nsmallest(
+        k, scores.items(), key=lambda item: (-item[1], edge_sort_key(item[0]))
+    )
 
 
 def degree_order_key(graph: Graph) -> Callable[[Vertex], Tuple[int, Vertex]]:

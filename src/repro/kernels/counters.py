@@ -36,8 +36,6 @@ class KernelCounters:
         "four_clique_kernels",
         "component_kernels",
         "truss_kernels",
-        "truss_repeels",
-        "truss_rebuilds",
     )
 
     def __init__(self) -> None:
@@ -57,8 +55,6 @@ class KernelCounters:
         self.four_clique_kernels = 0
         self.component_kernels = 0
         self.truss_kernels = 0
-        self.truss_repeels = 0
-        self.truss_rebuilds = 0
 
     def snapshot(self) -> Dict[str, int]:
         """JSON-ready view of all counters."""

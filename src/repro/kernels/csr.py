@@ -28,7 +28,7 @@ import weakref
 from array import array
 from bisect import bisect_right
 from itertools import chain
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.ordering import vertex_sort_key
@@ -173,47 +173,6 @@ class CSRGraph:
             offsets[uid + 1] = total
             neighbors.extend(row)
         KERNEL_COUNTERS.csr_patches += 1
-        return cls(offsets, neighbors, dag_start, interner)
-
-    @classmethod
-    def from_edgelist(
-        cls, vertices: Iterable[Hashable], edges: Iterable[Tuple]
-    ) -> "CSRGraph":
-        """Build straight from a vertex/edge listing, skipping ``Graph``.
-
-        The persistence fast path: a decoded snapshot state already *is*
-        a vertex list plus canonical edge list, so a CSR can be interned
-        without first materializing dict-of-set adjacency.  Uses the same
-        ``(degree, label)`` ordering as :meth:`from_graph`, so the result
-        is identical to ``from_graph`` on the equivalent graph.
-        """
-        degree: Dict[Hashable, int] = {v: 0 for v in vertices}
-        pairs = []
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-            pairs.append((u, v))
-        order = sorted(
-            degree, key=lambda u: (degree[u], vertex_sort_key(u))
-        )
-        interner = VertexInterner(order)
-        ids = interner.ids
-        n = len(order)
-        rows: List[List[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            iu, iv = ids[u], ids[v]
-            rows[iu].append(iv)
-            rows[iv].append(iu)
-        offsets = array("l", [0] * (n + 1))
-        dag_start = array("l", [0] * n)
-        total = 0
-        for i, row in enumerate(rows):
-            row.sort()
-            dag_start[i] = total + bisect_right(row, i)
-            total += len(row)
-            offsets[i + 1] = total
-        neighbors = array("l", chain.from_iterable(rows)) if n else array("l")
-        KERNEL_COUNTERS.csr_builds += 1
         return cls(offsets, neighbors, dag_start, interner)
 
     # -- id plumbing --------------------------------------------------------

@@ -87,20 +87,6 @@ def summarize(
         ),
         "latency_samples": len(result.records),
     }
-    by_metric: Dict[str, List[float]] = {}
-    for record in result.records:
-        if record.metric is not None:
-            by_metric.setdefault(record.metric, []).append(record.latency)
-    if len(by_metric) > 1:
-        # Cross-metric mixes: per-metric open-loop percentiles, so one
-        # slow scorer cannot hide inside the folded series.  Single-
-        # metric runs keep the legacy payload shape.
-        summary["per_metric_latency_ms"] = {
-            metric: dict(
-                _distribution(samples), samples=len(samples)
-            )
-            for metric, samples in sorted(by_metric.items())
-        }
     return summary
 
 

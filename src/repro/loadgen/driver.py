@@ -45,7 +45,6 @@ class OpRecord:
     op: str
     kind: str
     error: Optional[str] = None  #: protocol error code, "transport", or None
-    metric: Optional[str] = None  #: topk reads: the metric queried; else None
 
     @property
     def latency(self) -> float:
@@ -210,7 +209,6 @@ class LoadDriver:
                         op=op.op,
                         kind=op.kind,
                         error=error,
-                        metric=_op_metric(op),
                     )
                     with lock:
                         _fold(result, reservoir, record)
@@ -249,21 +247,10 @@ class LoadDriver:
         now = self._clock.now()
         record = OpRecord(
             deadline=deadline, sent=now, done=now,
-            op=op.op, kind=op.kind, error=error, metric=_op_metric(op),
+            op=op.op, kind=op.kind, error=error,
         )
         with lock:
             _fold(result, reservoir, record)
-
-
-def _op_metric(op: "ScheduledOp") -> Optional[str]:
-    """The metric a topk read queries (``esd`` when unstamped); else None.
-
-    Gives per-metric latency attribution in ``cross_metric`` runs; ops
-    that carry no metric (writes, watch traffic) stay unattributed.
-    """
-    if op.op != "topk":
-        return None
-    return op.fields.get("metric", "esd")
 
 
 def _fold(result: RunResult, reservoir: Reservoir, record: OpRecord) -> None:

@@ -185,18 +185,7 @@ def fold_scrapes(before: str, after: str) -> Dict:
         for labels, value in a.get(family, {}).items():
             delta = value - b.get(family, {}).get(labels, 0.0)
             if delta:
-                table = dict(labels)
-                label = table.get("endpoint", str(labels))
-                # Dimensioned series (e.g. per-metric topk) fold under
-                # their own key instead of clobbering the aggregate.
-                extra = [
-                    f"{key}={table[key]}"
-                    for key in sorted(table)
-                    if key != "endpoint"
-                ]
-                if extra:
-                    label = "|".join([label, *extra])
-                deltas[label] = delta
+                deltas[dict(labels).get("endpoint", str(labels))] = delta
         if deltas:
             folded[family] = dict(sorted(deltas.items()))
     return folded
@@ -232,37 +221,6 @@ def render_tables(payload: Dict) -> List[ExperimentTable]:
             f"{point.get('error_rate', 0):.4f}",
             "pass" if point.get("slo_met") else "FAIL",
         )
-    tables = [curve]
-    # Cross-metric runs attribute latency per metric; render the split
-    # for every sweep point that carries it (the whole reason a slow
-    # scorer is visible in this report at all).
-    per_metric_points = [
-        point
-        for point in sweep.get("points", [])
-        if point.get("per_metric_latency_ms")
-    ]
-    if per_metric_points:
-        split = ExperimentTable(
-            experiment="loadgen",
-            title="per-metric latency (open-loop)",
-            columns=[
-                "offered r/s", "metric", "p50 ms", "p95 ms", "p99 ms",
-                "samples",
-            ],
-        )
-        for point in per_metric_points:
-            for metric, dist in sorted(
-                point["per_metric_latency_ms"].items()
-            ):
-                split.add_row(
-                    f"{point.get('offered_rate_rps', 0):.1f}",
-                    metric,
-                    f"{dist.get('p50', 0):.2f}",
-                    f"{dist.get('p95', 0):.2f}",
-                    f"{dist.get('p99', 0):.2f}",
-                    dist.get("samples", 0),
-                )
-        tables.append(split)
     verdict = ExperimentTable(
         experiment="loadgen",
         title="capacity verdict",
@@ -278,5 +236,4 @@ def render_tables(payload: Dict) -> List[ExperimentTable]:
             f"{family} deltas: "
             + ", ".join(f"{k}={v:g}" for k, v in deltas.items())
         )
-    tables.append(verdict)
-    return tables
+    return [curve, verdict]

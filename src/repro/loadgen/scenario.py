@@ -22,14 +22,7 @@ name                      writes   watch share  intent
 ``mixed``                 15%      --           the PR-1 service bench mix
 ``write_heavy``           50%      --           ingest-dominated
 ``watch_fanout``          10%      40% of reads standing-query subscribers
-``cross_metric``          5%       --           reads spread over the metric
-                                                family (esd/truss/
-                                                betweenness/common_neighbors)
 ========================  =======  ===========  ==========================
-
-Profiles carry a ``metric_mix`` -- weighted ``(metric, weight)`` choices
-stamped onto topk reads.  The default is pure ``esd`` and draws nothing
-from the RNG, so legacy profiles keep their exact historic plans.
 """
 
 from __future__ import annotations
@@ -67,9 +60,6 @@ class Profile:
     watch_ratio: float = 0.0  #: fraction of *reads* that are watch cycles
     delete_ratio: float = 0.5  #: fraction of *writes* that are deletes
     query_grid: Sequence[Tuple[int, int]] = tuple(SERVICE_QUERY_GRID)
-    #: weighted ``(metric, weight)`` choices for topk reads; the default
-    #: keeps every legacy profile pure-esd (and byte-identical plans).
-    metric_mix: Sequence[Tuple[str, float]] = (("esd", 1.0),)
 
     def __post_init__(self) -> None:
         for name in ("write_ratio", "watch_ratio", "delete_ratio"):
@@ -78,29 +68,6 @@ class Profile:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not self.query_grid:
             raise ValueError("query_grid must not be empty")
-        if not self.metric_mix:
-            raise ValueError("metric_mix must not be empty")
-        for metric, weight in self.metric_mix:
-            if not isinstance(metric, str) or not metric:
-                raise ValueError(f"metric_mix names must be non-empty, got {metric!r}")
-            if weight < 0:
-                raise ValueError(
-                    f"metric_mix weight for {metric!r} must be >= 0, got {weight}"
-                )
-        if sum(weight for _, weight in self.metric_mix) <= 0:
-            raise ValueError("metric_mix weights must sum to > 0")
-
-
-def _pick_metric(
-    mix: Sequence[Tuple[str, float]], rng: random.Random
-) -> str:
-    total = sum(weight for _, weight in mix)
-    roll = rng.random() * total
-    for metric, weight in mix:
-        roll -= weight
-        if roll < 0:
-            return metric
-    return mix[-1][0]
 
 
 PROFILES: Dict[str, Profile] = {
@@ -109,16 +76,6 @@ PROFILES: Dict[str, Profile] = {
     "write_heavy": Profile("write_heavy", write_ratio=0.5),
     "watch_fanout": Profile(
         "watch_fanout", write_ratio=0.10, watch_ratio=0.40
-    ),
-    "cross_metric": Profile(
-        "cross_metric",
-        write_ratio=0.05,
-        metric_mix=(
-            ("esd", 0.70),
-            ("truss", 0.15),
-            ("betweenness", 0.10),
-            ("common_neighbors", 0.05),
-        ),
     ),
 }
 
@@ -211,14 +168,9 @@ def build_plan(
             k, tau = profile.query_grid[
                 rng.randrange(len(profile.query_grid))
             ]
-            fields: Dict[str, Any] = {"k": k, "tau": tau}
-            if len(profile.metric_mix) > 1:
-                # A single-entry mix draws nothing from the rng, so every
-                # legacy (pure-esd) profile keeps its exact historic plan.
-                fields["metric"] = _pick_metric(profile.metric_mix, rng)
-            elif profile.metric_mix[0][0] != "esd":
-                fields["metric"] = profile.metric_mix[0][0]
-            ops.append(ScheduledOp(deadline, "topk", fields, "read"))
+            ops.append(
+                ScheduledOp(deadline, "topk", {"k": k, "tau": tau}, "read")
+            )
             reads += 1
     return ScenarioPlan(
         profile=profile,

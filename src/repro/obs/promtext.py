@@ -21,10 +21,6 @@ Flattening rules:
   per-endpoint latency table renders as
   ``esd_endpoint_requests{endpoint="topk"} 5`` and friends, which is
   the shape dashboards actually want to aggregate across nodes.
-  Endpoint names carrying ``|key=value`` parts (the registries'
-  convention for dimensioned series, e.g. ``topk|metric=truss``) render
-  those parts as extra labels:
-  ``esd_endpoint_requests{endpoint="topk",metric="truss"} 5``.
 
 Rendering never raises on snapshot content: a malformed source value is
 skipped, because a scrape must not take the node down (the same
@@ -85,33 +81,6 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _endpoint_labels(endpoint: str) -> str:
-    """The rendered ``{...}`` label set of one endpoint name.
-
-    Plain names label as ``endpoint="name"``.  Names of the form
-    ``name|key=value|...`` (the registries' convention for dimensioned
-    series, e.g. ``topk|metric=truss``) split into
-    ``endpoint="name",key="value",...`` so dashboards can aggregate and
-    slice per metric.  A part that is not a well-formed
-    ``identifier=value`` pair falls back to escaping the whole original
-    name into the ``endpoint`` label -- rendering never drops a series.
-    """
-    if "|" not in endpoint:
-        return f'endpoint="{_escape_label(endpoint)}"'
-    name, *parts = endpoint.split("|")
-    pairs: List[Tuple[str, str]] = []
-    for part in parts:
-        key, sep, value = part.partition("=")
-        if not sep or not key.isidentifier() or key == "endpoint" or not value:
-            return f'endpoint="{_escape_label(endpoint)}"'
-        pairs.append((key, value))
-    labels = [f'endpoint="{_escape_label(name)}"']
-    labels.extend(
-        f'{key}="{_escape_label(value)}"' for key, value in sorted(pairs)
-    )
-    return ",".join(labels)
-
-
 def _render_endpoints(
     prefix: str, endpoints: Dict[str, Any], lines: List[str]
 ) -> None:
@@ -119,7 +88,7 @@ def _render_endpoints(
         stats = endpoints[endpoint]
         if not isinstance(stats, dict):
             continue
-        labels = _endpoint_labels(str(endpoint))
+        labels = f'endpoint="{_escape_label(endpoint)}"'
         for field in sorted(stats):
             value = stats[field]
             if not _is_number(value):

@@ -4,7 +4,7 @@ The modules compose bottom-up:
 
 =================  =======================================================
 ``rwlock``         write-preferring readers-writer lock (snapshot reads)
-``cache``          LRU result cache keyed by ``(metric, k, τ, graph_version)``
+``cache``          LRU result cache keyed by ``(k, τ, graph_version)``
                    with a single-flight miss path
 ``metrics``        per-endpoint counters and latency quantiles
 ``engine``         :class:`QueryEngine` -- the transport-independent core

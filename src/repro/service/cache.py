@@ -1,6 +1,6 @@
 """Thread-safe LRU cache for query results, keyed by graph version.
 
-Keys are ``(metric, k, tau, graph_version)`` tuples: because
+Keys are ``(k, tau, graph_version)`` tuples: because
 :attr:`~repro.core.maintenance.DynamicESDIndex.graph_version` increases
 on every successful mutation and is never reused, an entry written at
 version ``V`` can only ever be read back while the graph is still at
@@ -58,8 +58,8 @@ class _Flight:
 
 def _is_versioned_key(key: Hashable) -> bool:
     """The key schema shared with ``QueryEngine``: a non-empty tuple whose
-    last element is the integer graph version (``(metric, k, tau,
-    version)`` -- the version always rides last, whatever leads).
+    last element is the integer graph version (``(k, tau, version)`` --
+    the version always rides last, whatever leads).
     ``purge_stale`` relies on this shape; ``bool`` is excluded because it
     is an ``int`` subtype but never a version."""
     return (

@@ -44,7 +44,6 @@ class TopKReply:
     graph_version: int
     cached: bool
     batched: int
-    metric: str = "esd"
 
 
 def wait_until_ready(
@@ -113,24 +112,17 @@ class ServiceClient:
     def ping(self) -> bool:
         return self.request("ping") == "pong"
 
-    def topk(
-        self, k: int = 10, tau: int = 2, metric: str = "esd"
-    ) -> TopKReply:
-        """Top-k by any registered metric (``esd``, ``truss``,
-        ``betweenness``, ``common_neighbors``, ...)."""
-        result = self.request("topk", k=k, tau=tau, metric=metric)
+    def topk(self, k: int = 10, tau: int = 2) -> TopKReply:
+        result = self.request("topk", k=k, tau=tau)
         return TopKReply(
             items=[((u, v), score) for u, v, score in result["items"]],
             graph_version=result["graph_version"],
             cached=result["cached"],
             batched=result["batched"],
-            metric=result.get("metric", "esd"),
         )
 
-    def score(
-        self, u: Any, v: Any, tau: int = 2, metric: str = "esd"
-    ) -> Dict[str, Any]:
-        return self.request("score", u=u, v=v, tau=tau, metric=metric)
+    def score(self, u: Any, v: Any, tau: int = 2) -> Dict[str, Any]:
+        return self.request("score", u=u, v=v, tau=tau)
 
     def stats(self) -> Dict[str, Any]:
         return self.request("stats")
@@ -144,12 +136,8 @@ class ServiceClient:
     def delete_edge(self, u: Any, v: Any) -> Dict[str, Any]:
         return self.update("delete", u, v)
 
-    def watch(
-        self, k: int = 10, tau: int = 2, metric: str = "esd"
-    ) -> Dict[str, Any]:
-        # Only ``esd`` rides the incrementally maintained index; the
-        # server rejects anything else with ``invalid_argument``.
-        return self.request("watch", k=k, tau=tau, metric=metric)
+    def watch(self, k: int = 10, tau: int = 2) -> Dict[str, Any]:
+        return self.request("watch", k=k, tau=tau)
 
     def changes(self, watch_id: int) -> List[Dict[str, Any]]:
         return self.request("changes", watch_id=watch_id)["changes"]

@@ -41,15 +41,15 @@ def engine_ops(engine) -> Dict[str, Handler]:
 
     def topk(message):
         k, tau = _k_tau(message)
-        return engine.topk(k, tau, metric=protocol.metric_field(message))
+        protocol.metric_field(message)
+        return engine.topk(k, tau)
 
     def score(message):
-        return engine.score(
-            protocol.vertex_field(message, "u"),
-            protocol.vertex_field(message, "v"),
-            protocol.int_field(message, "tau", default=2),
-            metric=protocol.metric_field(message),
-        )
+        u = protocol.vertex_field(message, "u")
+        v = protocol.vertex_field(message, "v")
+        tau = protocol.int_field(message, "tau", default=2)
+        protocol.metric_field(message)
+        return engine.score(u, v, tau)
 
     def update(message):
         action = message.get("action")
@@ -66,7 +66,8 @@ def engine_ops(engine) -> Dict[str, Handler]:
 
     def watch(message):
         k, tau = _k_tau(message)
-        return engine.watch(k, tau, metric=protocol.metric_field(message))
+        protocol.metric_field(message)
+        return engine.watch(k, tau)
 
     return {
         "ping": lambda message: "pong",

@@ -10,17 +10,12 @@ composes the serving-layer pieces around one
   under the exclusive side, so queries never observe a half-applied
   update;
 * **result caching** -- top-k answers are cached in an LRU keyed by
-  ``(metric, k, τ, graph_version)``; the index's mutation hook purges
+  ``(k, τ, graph_version)``; the index's mutation hook purges
   stale versions eagerly and the version component (kept last, which is
   what the purge keys on) makes stale hits impossible (see
   :mod:`repro.service.cache`).  A hit is one lock-free lookup; a miss
   reads the version and computes under the read lock, single-flight, so
   concurrent misses on one key cost one index pass;
-* **metric family** -- ``topk``/``score`` take a ``metric`` selector
-  resolved through the :mod:`repro.metrics` scorer registry; ``esd``
-  (the default) answers straight from the maintained index, the other
-  scorers compute from the graph under the same read lock, and each
-  metric gets its own labeled latency series (``topk|metric=...``);
 * **change feeds** -- standing ``(k, τ)`` queries registered via
   :meth:`watch` are :class:`~repro.core.monitor.TopKMonitor` instances
   attached to the shared index and refreshed inside each update's write
@@ -42,18 +37,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.maintenance import DynamicESDIndex
 from repro.core.monitor import TopKChange, TopKMonitor
 from repro.graph.graph import Graph, canonical_edge
 from repro.kernels.counters import KERNEL_COUNTERS
-from repro.metrics import (
-    DEFAULT_METRIC,
-    get_metric,
-    metric_names,
-    scorer_stats,
-)
 from repro.obs.registry import UnifiedRegistry
 from repro.obs.sampler import InvariantSampler
 from repro.obs.slowlog import SlowQueryLog
@@ -80,25 +69,6 @@ def _validate_k_tau(k: int, tau: int) -> None:
         raise ValueError(f"tau must be an integer >= 1, got {tau!r}")
 
 
-def _validate_metric(metric: str):
-    """Resolve ``metric`` to its registered scorer (ValueError if unknown)."""
-    if not isinstance(metric, str):
-        raise ValueError(f"metric must be a string, got {metric!r}")
-    return get_metric(metric)
-
-
-def _metric_endpoint(op: str, metric: str) -> str:
-    """The labeled endpoint name for per-metric latency/counter series.
-
-    ``"topk|metric=esd"`` renders in Prometheus text exposition as
-    ``...{endpoint="topk",metric="esd"}`` (see
-    :func:`repro.obs.promtext.render_prometheus`), so each metric of the
-    diversity-query family gets its own disjoint request/error/latency
-    series while the plain ``op`` endpoint keeps the aggregate.
-    """
-    return f"{op}|metric={metric}"
-
-
 def _items(pairs) -> List[List[Any]]:
     """``[((u, v), score), ...] -> [[u, v, score], ...]`` (JSON-ready)."""
     return [[u, v, score] for (u, v), score in pairs]
@@ -119,7 +89,6 @@ class QueryEngine:
         slow_log_capacity: int = 128,
         invariant_check_interval: int = 0,
         invariant_sample_size: int = 8,
-        warm_metrics: Optional[List[str]] = None,
     ) -> None:
         if (graph is None) == (dynamic_index is None):
             raise ValueError(
@@ -145,16 +114,7 @@ class QueryEngine:
         self.slow_log = SlowQueryLog(
             threshold=slow_query_threshold, capacity=slow_log_capacity
         )
-
-        def _slow_observe(endpoint: str, seconds: float, error: bool) -> None:
-            # Per-metric labeled series ("topk|metric=esd") time the same
-            # request the aggregate endpoint already timed; only the
-            # aggregate feeds the slow-query ring, or every slow query
-            # would appear twice.
-            if "|" not in endpoint:
-                self.slow_log.record(endpoint, seconds, error)
-
-        self.metrics = MetricsRegistry(on_observe=_slow_observe)
+        self.metrics = MetricsRegistry(on_observe=self.slow_log.record)
         self.sampler: Optional[InvariantSampler] = (
             InvariantSampler(
                 self._dyn,
@@ -168,26 +128,10 @@ class QueryEngine:
         self._watches: Dict[int, _Watch] = {}
         self._watch_ids = itertools.count(1)
         # Per-edge hook: sampler + watch bookkeeping need every version.
-        # Batch hook: cache purge + scorer maintenance fire once per
-        # commit group (once per apply_batch instead of once per edge).
+        # Batch hook: the cache purge fires once per commit group (once
+        # per apply_batch instead of once per edge).
         self._dyn.subscribe(self._on_mutation)
         self._dyn.subscribe_batch(self._on_batch)
-        # Opt-in background warmer: after mutations, recompute the named
-        # scorers' tables off the query path.
-        self._warm_metrics: Tuple[str, ...] = tuple(warm_metrics or ())
-        for name in self._warm_metrics:
-            get_metric(name)  # unknown names fail loudly at construction
-        self._warm_cond = threading.Condition()
-        self._warm_dirty = False
-        self._warm_stop = False
-        self._warm_thread: Optional[threading.Thread] = None
-        if self._warm_metrics:
-            self._warm_thread = threading.Thread(
-                target=self._warm_loop,
-                name="esd-metric-warmer",
-                daemon=True,
-            )
-            self._warm_thread.start()
         self.obs = self._build_registry()
 
     # -- plumbing -------------------------------------------------------------
@@ -247,15 +191,8 @@ class QueryEngine:
         On a *clean* shutdown, mutations that arrived since the last
         snapshot are compacted into a fresh one so the next start
         replays nothing.  A crash skips this path by definition -- then
-        recovery replays the WAL tail instead.  The background metric
-        warmer (if any) is stopped first, outside the engine lock.
+        recovery replays the WAL tail instead.
         """
-        if self._warm_thread is not None:
-            with self._warm_cond:
-                self._warm_stop = True
-                self._warm_cond.notify_all()
-            self._warm_thread.join(timeout=5.0)
-            self._warm_thread = None
         if self._store is None:
             return
         with self._lock.write_locked():
@@ -272,7 +209,6 @@ class QueryEngine:
         registry.add_source("graph_version", lambda: self._dyn.graph_version)
         registry.add_source("core", self._core_counters)
         registry.add_source("kernels", KERNEL_COUNTERS.snapshot)
-        registry.add_source("scorer_memos", scorer_stats)
         registry.add_source("slow_queries", self.slow_log.snapshot)
         registry.add_source(
             "invariant_sampler",
@@ -306,77 +242,29 @@ class QueryEngine:
         purged = self._cache.purge_stale(version)
         if purged:
             self.metrics.incr("cache_purged_entries", purged)
-        for name in metric_names():
-            # The scorers' incremental-maintenance hook, once per scorer
-            # per batch -- invalidating a memo N times per batch bought
-            # nothing.
-            get_metric(name).on_batch(events, version)
-        if self._warm_thread is not None:
-            with self._warm_cond:
-                self._warm_dirty = True
-                self._warm_cond.notify_all()
 
-    def _warm_loop(self) -> None:
-        """Background warmer: repopulate scorer tables after mutations.
-
-        Waits for a dirty signal, then calls each named scorer's
-        ``warm`` under the read lock.  Coalescing is free: however many
-        mutations landed while a pass ran, the next pass warms the
-        latest revision once.  Best-effort -- a failing scorer is
-        counted, not fatal.
-        """
-        while True:
-            with self._warm_cond:
-                while not self._warm_dirty and not self._warm_stop:
-                    self._warm_cond.wait()
-                if self._warm_stop:
-                    return
-                self._warm_dirty = False
-            for name in self._warm_metrics:
-                try:
-                    with self._lock.read_locked():
-                        get_metric(name).warm(self._dyn.graph)
-                except Exception:
-                    self.metrics.incr("metric_warm_errors")
-            self.metrics.incr("metric_warm_passes")
-
-    def _topk_payload(
-        self, metric: str, k: int, tau: int, version: int
-    ) -> Dict[str, Any]:
+    def _topk_payload(self, k: int, tau: int, version: int) -> Dict[str, Any]:
         """Compute one top-k answer (caller holds the read lock)."""
-        items = get_metric(metric).topk(
-            self._dyn.graph, k, tau=tau, index=self._dyn
-        )
-        return {"items": _items(items), "graph_version": version,
-                "metric": metric}
+        return {"items": _items(self._dyn.topk(k, tau)),
+                "graph_version": version, "metric": "esd"}
 
     # -- read endpoints -------------------------------------------------------
 
-    def topk(
-        self, k: int = 10, tau: int = 2, metric: str = DEFAULT_METRIC
-    ) -> Dict[str, Any]:
+    def topk(self, k: int = 10, tau: int = 2) -> Dict[str, Any]:
         """Top-k query; served from cache or one single-flight index pass.
 
-        ``metric`` selects the scorer (see :mod:`repro.metrics`):
-        ``esd`` (default, the paper's index-backed structural
-        diversity), ``truss``, ``betweenness``, ``common_neighbors``...
-        Cache keys are ``(metric, k, τ, version)``, so two metrics never
-        share a cache entry or one computation.  ``batched`` in the
-        answer is the number of requests that computation served.
+        Cache keys are ``(k, τ, version)``.  ``batched`` in the answer
+        is the number of requests that computation served.
         """
         _validate_k_tau(k, tau)
-        _validate_metric(metric)
-        with self.metrics.timed("topk"), \
-                self.metrics.timed(_metric_endpoint("topk", metric)):
-            with TRACER.span(
-                "engine.topk", k=k, tau=tau, metric=metric
-            ) as span:
+        with self.metrics.timed("topk"):
+            with TRACER.span("engine.topk", k=k, tau=tau) as span:
                 # Racy fast path: a hit for the version we just read is
                 # valid by keying even if a writer lands concurrently --
                 # the answer was current at some instant inside this
                 # request.
                 version = self._dyn.graph_version
-                hit, payload = self._cache.get((metric, k, tau, version))
+                hit, payload = self._cache.get((k, tau, version))
                 if hit:
                     span.set(cache="hit", graph_version=version)
                     return dict(payload, cached=True, batched=1)
@@ -384,29 +272,23 @@ class QueryEngine:
                 with self._lock.read_locked():
                     version = self._dyn.graph_version
                     payload, batched = self._cache.get_or_compute(
-                        (metric, k, tau, version),
-                        lambda: self._topk_payload(metric, k, tau, version),
+                        (k, tau, version),
+                        lambda: self._topk_payload(k, tau, version),
                     )
                 span.set(batched=batched, graph_version=version)
                 return dict(payload, cached=False, batched=batched)
 
-    def score(
-        self, u, v, tau: int = 2, metric: str = DEFAULT_METRIC
-    ) -> Dict[str, Any]:
-        """One edge's metric value at threshold ``tau`` (default: the
-        paper's structural diversity, straight from the index)."""
+    def score(self, u, v, tau: int = 2) -> Dict[str, Any]:
+        """One edge's structural diversity at threshold ``tau``, straight
+        from the index."""
         _validate_k_tau(1, tau)
-        scorer = _validate_metric(metric)
-        with self.metrics.timed("score"), \
-                self.metrics.timed(_metric_endpoint("score", metric)):
+        with self.metrics.timed("score"):
             with self._lock.read_locked():
                 return {
                     "edge": [u, v],
                     "tau": tau,
-                    "metric": metric,
-                    "score": scorer.score(
-                        self._dyn.graph, (u, v), tau=tau, index=self._dyn
-                    ),
+                    "metric": "esd",
+                    "score": self._dyn.index.score((u, v), tau),
                     "in_graph": self._dyn.graph.has_edge(u, v),
                     "graph_version": self._dyn.graph_version,
                 }
@@ -502,21 +384,9 @@ class QueryEngine:
 
     # -- change feeds ---------------------------------------------------------
 
-    def watch(
-        self, k: int = 10, tau: int = 2, metric: str = DEFAULT_METRIC
-    ) -> Dict[str, Any]:
-        """Register a standing ``(k, τ)`` query; returns its feed id.
-
-        Watches ride the index's incremental maintenance, which only the
-        ``esd`` metric has -- other metrics are rejected rather than
-        silently served stale.
-        """
+    def watch(self, k: int = 10, tau: int = 2) -> Dict[str, Any]:
+        """Register a standing ``(k, τ)`` query; returns its feed id."""
         _validate_k_tau(k, tau)
-        if metric != DEFAULT_METRIC:
-            raise ValueError(
-                f"watch supports only metric {DEFAULT_METRIC!r} "
-                f"(incrementally maintained); got {metric!r}"
-            )
         with self.metrics.timed("watch"):
             with self._lock.read_locked():
                 monitor = TopKMonitor.attach(self._dyn, k, tau)

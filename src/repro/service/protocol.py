@@ -6,9 +6,10 @@ fields and an optional caller-chosen ``id`` echoed back verbatim::
 
     {"op": "topk", "k": 10, "tau": 2, "metric": "esd", "id": 7}
 
-``topk`` and ``score`` take an optional ``metric`` string selecting the
-scorer (default ``"esd"``; see :mod:`repro.metrics`); unknown names are
-answered with ``invalid_argument``.
+``topk``, ``score`` and ``watch`` accept an optional ``metric`` field
+for the ranking; only ``"esd"`` (the default) is served, and any other
+value is answered with ``invalid_argument``.  The other edge rankings
+are offline only (``esd topk --metric``).
 
 Responses are either::
 
@@ -162,23 +163,20 @@ def int_field(
     return value
 
 
-def metric_field(
-    message: Dict[str, Any], name: str = "metric", default: str = "esd"
-) -> str:
-    """Extract the optional metric-selector field (a string name).
+def metric_field(message: Dict[str, Any]) -> None:
+    """Check the optional ``metric`` field: absent or ``"esd"``.
 
-    Only string-ness is validated here; whether the name is a
-    *registered* metric is the engine's call (its ``ValueError`` maps to
-    ``invalid_argument``), so the protocol layer needs no import of the
-    scorer registry.
+    ``esd`` is the only ranking with a maintained top-k, so it is the
+    only one served; anything else is refused here, before the request
+    is timed or takes a lock.
     """
-    value = message.get(name, default)
-    if not isinstance(value, str) or not value:
+    value = message.get("metric", "esd")
+    if value != "esd":
         raise ProtocolError(
             INVALID_ARGUMENT,
-            f"field {name!r} must be a non-empty string, got {value!r}",
+            f"field 'metric' must be 'esd' (the other rankings are "
+            f"offline only: esd topk --metric), got {value!r}",
         )
-    return value
 
 
 def vertex_field(message: Dict[str, Any], name: str) -> Any:

@@ -48,7 +48,6 @@ class ServerConfig:
     slow_log_capacity: int = 128  #: slow-query ring-buffer entries
     invariant_check_interval: int = 0  #: mutations between sampled checks (0 = off)
     invariant_sample_size: int = 8  #: edges verified per sampled check
-    warm_metrics: Tuple[str, ...] = ()  #: scorers re-warmed in the background after writes
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -175,7 +174,6 @@ class ESDServer:
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,
                 invariant_sample_size=self.config.invariant_sample_size,
-                warm_metrics=list(self.config.warm_metrics),
             )
         else:
             if graph is None:
@@ -187,7 +185,6 @@ class ESDServer:
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,
                 invariant_sample_size=self.config.invariant_sample_size,
-                warm_metrics=list(self.config.warm_metrics),
             )
         #: op -> handler; subclasses add their own ops to it.
         self._ops = engine_ops(self.engine)

@@ -263,7 +263,7 @@ class TestCheckFloors:
 
 @pytest.fixture
 def tiny_new_suites(monkeypatch, tmp_path):
-    """Millisecond-sized variants of the specialized suites."""
+    """A millisecond-sized variant of the specialized suite."""
     monkeypatch.setattr(regress, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(
         regress,
@@ -273,13 +273,6 @@ def tiny_new_suites(monkeypatch, tmp_path):
                 "kind": "truss_build",
                 "n": 20, "p": 0.3, "seed": 11, "repeats": 1,
             },
-            "metric_maintenance": {
-                "kind": "metric_maintenance",
-                "communities": 3, "community_size": 8, "p_in": 0.5,
-                "seed": 11, "k": 3, "probes": 2,
-                "bt_n": 16, "bt_p": 0.3, "bt_probes": 1,
-                "repeats": 1,
-            },
         },
     )
 
@@ -287,37 +280,25 @@ def tiny_new_suites(monkeypatch, tmp_path):
 class TestSpecializedSuites:
     def test_new_suites_produce_records(self, tiny_new_suites):
         payload = run_regress(quick=True)
-        assert set(payload["suites"]) == {"truss_build", "metric_maintenance"}
+        assert set(payload["suites"]) == {"truss_build"}
         build_ops = payload["suites"]["truss_build"]["ops"]
         assert set(build_ops) == set(regress.SUITE_KIND_OPS["truss_build"])
-        maint_ops = payload["suites"]["metric_maintenance"]["ops"]
-        assert set(maint_ops) == set(
-            regress.SUITE_KIND_OPS["metric_maintenance"]
-        )
-        for record in (*build_ops.values(), *maint_ops.values()):
+        for record in build_ops.values():
             assert record["csr_median_s"] > 0
             assert record["set_median_s"] > 0
-        # The csr pass must actually exercise the truss kernel / the
-        # incremental maintenance path, not silently fall back.
+        # The csr pass must actually exercise the truss kernel, not
+        # silently fall back.
         assert (
             payload["suites"]["truss_build"]["kernel_counters"][
                 "truss_kernels"
             ]
             >= 1
         )
-        maint_counters = payload["suites"]["metric_maintenance"][
-            "kernel_counters"
-        ]
-        assert (
-            maint_counters["truss_repeels"] + maint_counters["truss_rebuilds"]
-            > 0
-        )
 
     def test_quick_run_keeps_specialized_suites(self, tiny_new_suites):
         # --quick drops only the classic "full" suite: the specialized
-        # suites carry the PR-10 floors, so CI must keep running them.
+        # truss_build suite carries a floor, so CI must keep running it.
         payload = run_regress(quick=True)
-        assert "metric_maintenance" in payload["suites"]
         assert "truss_build" in payload["suites"]
 
 
@@ -334,11 +315,8 @@ class TestCommittedBenchFile:
             for op in regress.SPEEDUP_OPS:
                 # Carried over from the PR5 acceptance gate: >= 2x.
                 assert ops[op]["speedup"] >= 2.0
-        for suite in ("truss_build", "metric_maintenance"):
-            ops = payload["suites"][suite]["ops"]
-            assert set(ops) == set(regress.SUITE_KIND_OPS[suite])
-        # Every floor -- including the PR-10 >= 5x incremental-
-        # maintenance gate -- holds in the committed record.
+        ops = payload["suites"]["truss_build"]["ops"]
+        assert set(ops) == set(regress.SUITE_KIND_OPS["truss_build"])
+        # Every floor holds in the committed record.  (The record also
+        # keeps the since-removed metric_maintenance suite, as history.)
         assert regress.check_floors(payload) == []
-        for op in regress.SUITE_KIND_OPS["metric_maintenance"]:
-            assert regress.SPEEDUP_FLOORS[op] >= 5.0

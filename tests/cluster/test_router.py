@@ -159,6 +159,29 @@ class TestRouting:
                 client.request("frobnicate")
             assert info.value.code == "unknown_op"
 
+    def test_invented_metric_names_create_no_series(self, cluster):
+        # Client-chosen names must never become counter or endpoint
+        # keys on any node, or a client could grow every scrape without
+        # bound.
+        writer, replicas, router = cluster
+
+        def key_sets():
+            return [
+                (set(snap["counters"]), set(snap["endpoints"]))
+                for snap in [router.metrics.snapshot()]
+                + [replica.metrics.snapshot() for replica in replicas]
+            ]
+
+        with ServiceClient(*router.address) as client:
+            for _ in range(4):  # every replica has served one esd read
+                client.topk(k=5)
+            before = key_sets()
+            for i in range(50):
+                with pytest.raises(ServiceError) as info:
+                    client.request("topk", k=5, metric=f"invented_{i}")
+                assert info.value.code == "invalid_argument"
+        assert key_sets() == before
+
     def test_cluster_status_shape(self, cluster):
         writer, replicas, router = cluster
         with ServiceClient(*router.address) as client:

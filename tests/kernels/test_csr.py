@@ -264,26 +264,3 @@ class TestSnapshotPatchPath:
             assert list(patched.offsets) == list(fresh.offsets)
             assert list(patched.neighbors) == list(fresh.neighbors)
             assert patched.interner.labels == fresh.interner.labels
-
-
-class TestFromEdgelist:
-    """``from_edgelist`` (the snapshot-install path) ≡ ``from_graph``."""
-
-    def test_matches_from_graph(self):
-        g = erdos_renyi(35, 0.15, seed=8)
-        a = CSRGraph.from_graph(g)
-        b = CSRGraph.from_edgelist(sorted(g.vertices()), sorted(g.edges()))
-        assert list(a.offsets) == list(b.offsets)
-        assert list(a.neighbors) == list(b.neighbors)
-        assert list(a.dag_start) == list(b.dag_start)
-        assert a.interner.labels == b.interner.labels
-
-    def test_isolated_vertices_keep_slots(self):
-        g = Graph([(0, 1), (1, 2)])
-        g.add_vertex(7)
-        g.add_vertex(8)
-        a = CSRGraph.from_graph(g)
-        b = CSRGraph.from_edgelist(sorted(g.vertices()), sorted(g.edges()))
-        assert b.n == 5 and b.m == 2
-        assert list(a.offsets) == list(b.offsets)
-        assert a.interner.labels == b.interner.labels

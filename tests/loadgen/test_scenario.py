@@ -1,5 +1,8 @@
 """Scenario plans: deterministic mixes, safe mutation pools."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bench.workloads import LOADGEN_EDGE_BASE, mutation_edges
@@ -28,7 +31,6 @@ class TestProfileValidation:
     def test_builtin_profiles_cover_the_cli_choices(self):
         assert set(PROFILES) == {
             "read_heavy", "mixed", "write_heavy", "watch_fanout",
-            "cross_metric",
         }
 
 
@@ -40,6 +42,39 @@ class TestDeterminism:
 
     def test_seed_changes_the_stream(self):
         assert _plan("mixed", seed=1).ops != _plan("mixed", seed=2).ops
+
+
+def _digest(plan):
+    ops = [[op.deadline, op.op, op.fields, op.kind] for op in plan.ops]
+    return hashlib.sha256(json.dumps(ops).encode()).hexdigest()
+
+
+class TestPlanDigests:
+    """Every profile's plan at a fixed seed, pinned byte for byte: a
+    change to the plan builder must not move a recorded load run."""
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("read_heavy",
+             "557ff634f25d483f3078742cff100150d88e2db7e445bda257548a7035bc49fd"),
+            ("mixed",
+             "ee85ee00ade94dd5ce24a5ad0cb34d373b6330ea8c77f29936ba312e5c6034d5"),
+            ("write_heavy",
+             "3b1be95692fbaccf6de7245be0585c1f9adc2e5d157d7f5a6cb201b9aeb0b198"),
+            ("watch_fanout",
+             "113c6d14f1663b829493d36dfa7b679c469091a5a2f36b92c132f18a66a8e1ad"),
+        ],
+    )
+    def test_plan_is_pinned(self, name, digest):
+        assert _digest(_plan(name, seed=11)) == digest
+
+
+def test_legacy_profiles_have_no_metric_field():
+    deadlines = [i * 0.01 for i in range(400)]
+    for name in ("read_heavy", "mixed", "write_heavy", "watch_fanout"):
+        plan = build_plan(deadlines, PROFILES[name], seed=7)
+        assert all("metric" not in op.fields for op in plan.ops)
 
 
 class TestMixRatios:

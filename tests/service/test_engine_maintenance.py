@@ -1,139 +1,73 @@
-"""Engine-side metric maintenance: batch fan-out and the warmer thread.
+"""Engine-side batch hook: the result-cache purge per commit group.
 
-The batch satellite's contract: scorers hear about a commit group
-exactly once, with the whole ordered event list -- one ``on_batch``
-call per ``apply_batch`` (or per single update), never one per edge.
-The warmer's contract: with ``warm_metrics`` set, a mutation eventually
-repopulates the named scorers' tables off the query path, and
-``close()`` stops the thread.
+The index fires ``subscribe_batch`` once per single update and once per
+``apply_batch``, with the whole ordered event list -- and, when a batch
+fails part-way, still for the prefix that did commit.  The engine's
+hook purges the cached answers of superseded versions, so the purge is
+where that contract shows.
 """
 
 from __future__ import annotations
 
-import time
+import pytest
 
 from repro.core.maintenance import DynamicESDIndex
 from repro.graph import Graph, paper_example_graph
-from repro.metrics import MetricScorer, get_metric, register_metric
-from repro.metrics.scorers import _REGISTRY
 from repro.service.engine import QueryEngine
 
 
-class SpyScorer(MetricScorer):
-    """Records every maintenance hook call; scores are irrelevant."""
+@pytest.fixture
+def purges(monkeypatch):
+    """``attach(engine)`` records the version of every cache purge."""
+    calls = []
 
-    name = "spy"
+    def attach(engine):
+        cache = engine._cache
+        purge = cache.purge_stale
 
-    def __init__(self) -> None:
-        self.batches = []
-        self.mutations = []
-        self.warmed = []
+        def spy(version):
+            calls.append(version)
+            return purge(version)
 
-    def score(self, graph, edge, *, tau=2, index=None):
-        return 0
+        monkeypatch.setattr(cache, "purge_stale", spy)
+        return engine
 
-    def topk(self, graph, k, *, tau=2, index=None):
-        return []
-
-    def on_mutation(self, kind, edge, version):
-        self.mutations.append((kind, edge, version))
-
-    def on_batch(self, events, version):
-        self.batches.append((list(events), version))
-
-    def warm(self, graph):
-        self.warmed.append(graph.revision)
-
-
-def with_spy(fn):
-    """Run ``fn(spy)`` with the spy registered, restoring the registry."""
-    spy = SpyScorer()
-    register_metric(spy, replace=True)
-    try:
-        return fn(spy)
-    finally:
-        _REGISTRY.pop("spy", None)
+    attach.calls = calls
+    return attach
 
 
 class TestBatchFanOut:
-    def test_apply_batch_notifies_each_scorer_once(self):
-        def scenario(spy):
-            dyn = DynamicESDIndex(paper_example_graph())
-            QueryEngine(dynamic_index=dyn)
+    def test_apply_batch_purges_the_cache_once(self, purges):
+        dyn = DynamicESDIndex(paper_example_graph())
+        engine = purges(QueryEngine(dynamic_index=dyn))
+        engine.topk(5, 2)
+        dyn.apply_batch(
+            deletions=[("a", "b")],
+            insertions=[("x", "y"), ("y", "z")],
+        )
+        assert purges.calls == [dyn.graph_version] == [3]
+        assert engine.metrics.snapshot()["counters"][
+            "cache_purged_entries"
+        ] == 1
+        assert engine.topk(5, 2)["cached"] is False
+
+    def test_single_update_is_a_one_event_group(self, purges):
+        engine = purges(QueryEngine(paper_example_graph()))
+        engine.update("insert", "x", "y")
+        engine.update("delete", "x", "y")
+        assert purges.calls == [1, 2]
+
+    def test_failed_batch_still_reports_applied_prefix(self, purges):
+        dyn = DynamicESDIndex(Graph([("a", "b"), ("b", "c")]))
+        engine = purges(QueryEngine(dynamic_index=dyn))
+        engine.topk(5, 1)
+        with pytest.raises(ValueError):
             dyn.apply_batch(
-                deletions=[("a", "b")],
-                insertions=[("x", "y"), ("y", "z")],
+                insertions=[("c", "d"), ("c", "d")]  # duplicate fails
             )
-            assert len(spy.batches) == 1
-            events, version = spy.batches[0]
-            assert events == [
-                ("delete", ("a", "b")),
-                ("insert", ("x", "y")),
-                ("insert", ("y", "z")),
-            ]
-            assert version == dyn.graph_version
-
-        with_spy(scenario)
-
-    def test_single_update_is_a_one_event_group(self):
-        def scenario(spy):
-            engine = QueryEngine(paper_example_graph())
-            engine.update("insert", "x", "y")
-            assert len(spy.batches) == 1
-            events, _version = spy.batches[0]
-            assert events == [("insert", ("x", "y"))]
-
-        with_spy(scenario)
-
-    def test_failed_batch_still_reports_applied_prefix(self):
-        def scenario(spy):
-            dyn = DynamicESDIndex(Graph([("a", "b"), ("b", "c")]))
-            QueryEngine(dynamic_index=dyn)
-            try:
-                dyn.apply_batch(
-                    insertions=[("c", "d"), ("c", "d")]  # duplicate fails
-                )
-            except ValueError:
-                pass
-            else:
-                raise AssertionError("expected duplicate insert to fail")
-            # The scorers must still hear about what *did* commit, or
-            # their tables drift from the graph.
-            assert len(spy.batches) == 1
-            events, _version = spy.batches[0]
-            assert events == [("insert", ("c", "d"))]
-
-        with_spy(scenario)
-
-
-class TestWarmer:
-    def test_unknown_warm_metric_fails_at_construction(self):
-        try:
-            QueryEngine(paper_example_graph(), warm_metrics=["nope"])
-        except ValueError:
-            return
-        raise AssertionError("expected unknown warm metric to raise")
-
-    def test_mutation_triggers_background_warm_pass(self):
-        engine = QueryEngine(paper_example_graph(), warm_metrics=["truss"])
-        try:
-            truss = get_metric("truss")
-            computes_before = truss._memo.computes
-            engine.update("insert", "warm_u", "warm_v")
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                counters = engine.metrics.snapshot()["counters"]
-                if counters.get("metric_warm_passes", 0) >= 1:
-                    break
-                time.sleep(0.01)
-            else:
-                raise AssertionError("warmer never completed a pass")
-            assert truss._memo.computes > computes_before
-        finally:
-            engine.close()
-        assert engine._warm_thread is None
-
-    def test_no_warm_metrics_means_no_thread(self):
-        engine = QueryEngine(paper_example_graph())
-        assert engine._warm_thread is None
-        engine.close()
+        # The committed prefix moved the version, so the answer cached
+        # at version 0 must go, failure or not.
+        assert purges.calls == [1]
+        assert engine.metrics.snapshot()["counters"][
+            "cache_purged_entries"
+        ] == 1

@@ -70,6 +70,88 @@ class TestTopk:
         assert all(len(l.split("\t")) == 2 for l in lines)
 
 
+#: ``esd topk --metric X -k 5`` on :data:`METRIC_EDGES`, pinned byte for
+#: byte: two 4-cliques joined by a bridge, then a triangle and a tail.
+METRIC_EDGES = [
+    (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6),
+    (5, 6), (5, 7), (6, 7), (4, 7), (7, 8), (8, 9), (9, 10), (8, 10),
+    (10, 11),
+]
+METRIC_TOPK = {
+    "truss": "0\t1\t4\n0\t2\t4\n0\t3\t4\n1\t2\t4\n1\t3\t4\n",
+    "betweenness": (
+        "3\t4\t7.0\n7\t8\t6.0\n4\t7\t3.0\n8\t10\t3.0\n10\t11\t3.0\n"
+    ),
+    "betweenness_global": (
+        "3\t4\t0.48484848484848486\n7\t8\t0.48484848484848486\n"
+        "4\t7\t0.3787878787878788\n8\t10\t0.2727272727272727\n"
+        "10\t11\t0.16666666666666666\n"
+    ),
+    "common_neighbors": "0\t1\t2\n0\t2\t2\n0\t3\t2\n1\t2\t2\n1\t3\t2\n",
+}
+
+
+class TestTopkMetrics:
+    @pytest.fixture
+    def metric_graph_file(self, tmp_path):
+        path = tmp_path / "metric.txt"
+        write_edge_list(Graph(METRIC_EDGES), path)
+        return str(path)
+
+    @pytest.mark.parametrize("metric", sorted(METRIC_TOPK))
+    def test_offline_metric_output_is_pinned(
+        self, metric_graph_file, metric, capsys
+    ):
+        assert main(
+            ["topk", "--graph", metric_graph_file, "--metric", metric,
+             "-k", "5"]
+        ) == 0
+        assert capsys.readouterr().out == METRIC_TOPK[metric]
+
+    def test_vertex_target_is_esd_only(self, metric_graph_file):
+        with pytest.raises(SystemExit, match="--metric esd"):
+            main(["topk", "--graph", metric_graph_file, "--metric", "truss",
+                  "--target", "vertex"])
+
+
+class TestTopkMetricTable:
+    """The name -> ranking table behind ``esd topk --metric``."""
+
+    def test_choices_are_esd_plus_the_table(self):
+        from repro.analytics.rankings import EDGE_RANKINGS
+        from repro.cli import _TOPK_METRICS
+
+        assert set(_TOPK_METRICS) == {"esd"} | set(EDGE_RANKINGS)
+
+    def test_orders_by_score_then_edge(self):
+        from repro.analytics.rankings import EDGE_RANKINGS
+
+        # K4 minus (0, 3): (1, 2) closes two triangles, the rest tie on one.
+        graph = Graph([(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
+        ranked = EDGE_RANKINGS["common_neighbors"](graph, 3)
+        assert ranked == [((1, 2), 2), ((0, 1), 1), ((0, 2), 1)]
+
+    @pytest.mark.parametrize(
+        "metric",
+        ["truss", "betweenness", "betweenness_global", "common_neighbors"],
+    )
+    def test_mixed_label_ties_do_not_raise(self, metric):
+        from repro.analytics.rankings import EDGE_RANKINGS
+
+        # int and str vertices live in disjoint components; a tie across
+        # them compared raw tuples before the type-tagged key existed.
+        graph = Graph([(1, 2), (3, 4), ("a", "b")])
+        ranked = EDGE_RANKINGS[metric](graph, 3)
+        assert [edge for edge, _ in ranked] == [(1, 2), (3, 4), ("a", "b")]
+
+    def test_k_validation(self):
+        from repro.analytics.rankings import EDGE_RANKINGS
+
+        for ranking in EDGE_RANKINGS.values():
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                ranking(Graph([(0, 1)]), 0)
+
+
 class TestIndexRoundTrip:
     def test_build_then_query(self, graph_file, tmp_path, capsys):
         index_path = str(tmp_path / "index.json")
